@@ -4,7 +4,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sharing_core::{EngineKind, RunOptions, SimConfig, Simulator, VmSimulator};
+use sharing_core::{RunOptions, SimConfig, Simulator, VmSimulator};
 use sharing_dc::{BillingMode, DcSim, Scenario};
 use sharing_obs::TraceBuffer;
 use sharing_trace::{
@@ -78,14 +78,9 @@ pub struct RunArgs {
     pub json: bool,
     /// When set, write a Chrome trace of the run's phases here.
     pub trace_out: Option<String>,
-    /// Engine implementation (`event` by default; `legacy` is the polled
-    /// oracle; `sharded` adds intra-run worker threads — results are
-    /// byte-identical in every case).
-    pub engine: EngineKind,
     /// Worker threads advancing a threaded VM's VCores between barriers
-    /// (`None` = 1, or machine-sized under `--engine sharded`). Output
-    /// is byte-identical for every value.
-    pub threads: Option<usize>,
+    /// (default 1). Output is byte-identical for every value.
+    pub threads: usize,
 }
 
 /// Arguments for `ssim sweep`.
@@ -341,7 +336,7 @@ USAGE:
     ssim run   (--benchmark <name> | --profile workload.json | --asm prog.s)
                [--slices N] [--banks N] [--len N]
                [--seed N] [--config file.json] [--json] [--trace-out FILE]
-               [--engine event|legacy|sharded] [--threads N]
+               [--threads N]
     ssim sweep --benchmark <name> [--len N] [--seed N] [--jobs N]
                [--daemon HOST:PORT] [--csv-out FILE] [--trace-out FILE]
     ssim dc    (--scenario file.json | --emit-example)
@@ -380,6 +375,7 @@ EXAMPLES:
     ssim serve --http 127.0.0.1:8080 --pidfile /tmp/ssimd.pid &
     ssim submit --url http://127.0.0.1:8080 --benchmark mcf --slices 2
     ssim run --benchmark bursty --slices 2   # extra seeded profile
+    ssim run --benchmark dedup --threads 4   # 4 worker shards, same bytes
     ssim chaos --seed 2014 --schedule-out sched.txt
     ssim profile --benchmark mcf --slices 4 --banks 8
     ssim serve --trace-out fleet.trace.jsonl &   # streaming span sink
@@ -403,14 +399,9 @@ buckets per Slice (fetch, issue, fu_busy, dram_stall, rob_full, idle);
 the buckets sum exactly to the run's total cycles, and same seed ⇒
 byte-identical output. Profiling never perturbs the simulated result.
 
-`ssim run --engine` picks the timing-engine implementation: `event`
-(default) schedules resource wake-ups discretely and skips dead cycles;
-`legacy` is the original per-cycle polled engine; `sharded` is the
-event engine plus intra-run worker threads for threaded/PARSEC VMs
-(DESIGN.md §14). All produce byte-identical results — the flag exists
-for differential testing and performance comparison. `--threads N`
-pins the VM worker count explicitly (any value gives the same bytes;
-e.g. `ssim run --benchmark dedup --engine sharded --threads 4`).
+`ssim run --threads N` advances a threaded/PARSEC VM's VCores on N
+worker threads between deterministic barriers (DESIGN.md §14; default
+1). It only changes wall time: every N gives byte-identical output.
 
 `--trace-out` writes Chrome trace_event JSON; open it in Perfetto
 (https://ui.perfetto.dev) or chrome://tracing. Simulator spans use
@@ -470,8 +461,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 config_path: None,
                 json: false,
                 trace_out: None,
-                engine: EngineKind::default(),
-                threads: None,
+                threads: 1,
             };
             let mut got_workload = false;
             while let Some(flag) = it.next() {
@@ -495,17 +485,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--config" => out.config_path = Some(take_value(flag, &mut it)?.clone()),
                     "--json" => out.json = true,
                     "--trace-out" => out.trace_out = Some(take_value(flag, &mut it)?.clone()),
-                    "--engine" => {
-                        let v = take_value(flag, &mut it)?;
-                        out.engine = EngineKind::from_name(v)
-                            .ok_or_else(|| CliError::BadValue(flag.clone(), v.clone()))?;
-                    }
                     "--threads" => {
                         let n: usize = parse_num(flag, take_value(flag, &mut it)?)?;
                         if n == 0 {
                             return Err(CliError::BadValue(flag.clone(), "0".to_string()));
                         }
-                        out.threads = Some(n);
+                        out.threads = n;
                     }
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
@@ -901,8 +886,7 @@ fn run_one(
     len: usize,
     seed: u64,
     obs: Option<&TraceBuffer>,
-    engine: EngineKind,
-    threads: Option<usize>,
+    threads: usize,
 ) -> sharing_core::SimResult {
     let spec = TraceSpec::new(len, seed);
     let traces = TraceCache::global();
@@ -912,13 +896,10 @@ fn run_one(
             traces.threaded(bench, &spec)
         };
         let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        let mut vm = VmSimulator::new(cfg)
+        VmSimulator::new(cfg)
             .expect("validated config")
-            .with_engine(engine);
-        if let Some(n) = threads {
-            vm = vm.with_threads(n);
-        }
-        vm.run(&trace)
+            .with_threads(threads)
+            .run(&trace)
     } else {
         let trace = {
             let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
@@ -926,7 +907,7 @@ fn run_one(
         };
         let sim = Simulator::new(cfg).expect("validated config");
         let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        let mut opts = RunOptions::new().engine(engine);
+        let mut opts = RunOptions::new();
         if let Some(o) = obs {
             // The traced path also emits a logical-cycle span, so the
             // trace shows both wall time and simulated time.
@@ -942,11 +923,10 @@ fn run_workload(
     len: usize,
     seed: u64,
     obs: Option<&TraceBuffer>,
-    engine: EngineKind,
-    threads: Option<usize>,
+    threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
     match workload {
-        Workload::Benchmark(b) => Ok(run_one(*b, cfg, len, seed, obs, engine, threads)),
+        Workload::Benchmark(b) => Ok(run_one(*b, cfg, len, seed, obs, threads)),
         Workload::AsmFile(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
@@ -974,7 +954,7 @@ fn run_workload(
             let trace = sharing_trace::Trace::from_insts(name, insts);
             let sim = Simulator::new(cfg).expect("validated config");
             let _g = obs.map(|o| o.span(format!("simulate {}", trace.name()), "ssim", 0));
-            let mut opts = RunOptions::new().engine(engine);
+            let mut opts = RunOptions::new();
             if let Some(o) = obs {
                 opts = opts.trace_to(o);
             }
@@ -985,12 +965,12 @@ fn run_workload(
                 .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
             let profile: WorkloadProfile = sharing_json::from_str(&text)
                 .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
-            run_profile(&profile, cfg, len, seed, obs, engine, threads)
+            run_profile(&profile, cfg, len, seed, obs, threads)
         }
         Workload::Extra(name) => {
             let profile =
                 extra_profile(name).ok_or_else(|| CliError::UnknownBenchmark(name.clone()))?;
-            run_profile(&profile, cfg, len, seed, obs, engine, threads)
+            run_profile(&profile, cfg, len, seed, obs, threads)
         }
     }
 }
@@ -1003,8 +983,7 @@ fn run_profile(
     len: usize,
     seed: u64,
     obs: Option<&TraceBuffer>,
-    engine: EngineKind,
-    threads: Option<usize>,
+    threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
     let spec = TraceSpec::new(len, seed);
     if profile.threads > 1 {
@@ -1015,13 +994,10 @@ fn run_profile(
                 .map_err(CliError::BadProfile)?
         };
         let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        let mut vm = VmSimulator::new(cfg)
+        Ok(VmSimulator::new(cfg)
             .expect("validated config")
-            .with_engine(engine);
-        if let Some(n) = threads {
-            vm = vm.with_threads(n);
-        }
-        Ok(vm.run(&trace))
+            .with_threads(threads)
+            .run(&trace))
     } else {
         let trace = {
             let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
@@ -1031,7 +1007,7 @@ fn run_profile(
         };
         let sim = Simulator::new(cfg).expect("validated config");
         let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        let mut opts = RunOptions::new().engine(engine);
+        let mut opts = RunOptions::new();
         if let Some(o) = obs {
             opts = opts.trace_to(o);
         }
@@ -1750,7 +1726,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 args.len,
                 args.seed,
                 obs.as_ref(),
-                args.engine,
                 args.threads,
             )?;
             let mut out = if args.json {
@@ -1981,15 +1956,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                         let mut guard = obs
                             .as_ref()
                             .map(|o| o.span(format!("point {s}s/{b}b"), "sweep", 0));
-                        let r = run_one(
-                            args.benchmark,
-                            cfg,
-                            args.len,
-                            args.seed,
-                            None,
-                            EngineKind::default(),
-                            None,
-                        );
+                        let r = run_one(args.benchmark, cfg, args.len, args.seed, None, 1);
                         if let Some(g) = guard.as_mut() {
                             use sharing_json::Json;
                             let dt = t0.elapsed().as_secs_f64().max(1e-9);
@@ -2201,8 +2168,7 @@ mod tests {
             config_path: None,
             json: true,
             trace_out: None,
-            engine: EngineKind::default(),
-            threads: None,
+            threads: 1,
         }))
         .unwrap();
         let v = sharing_json::Json::parse(&out).unwrap();
@@ -2246,20 +2212,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_flag_parses_and_matches_event_output() {
-        let cmd = |engine: &[&str]| {
+    fn threads_flag_leaves_run_output_byte_identical() {
+        let cmd = |extra: &[&str]| {
             let mut argv = vec!["run", "--benchmark", "dedup", "--len", "600", "--json"];
-            argv.extend_from_slice(engine);
+            argv.extend_from_slice(extra);
             execute(&parse(&s(&argv)).unwrap()).unwrap()
         };
-        let event = cmd(&["--engine", "event"]);
+        let default = cmd(&[]);
         for threads in ["1", "2", "4"] {
-            let sharded = cmd(&["--engine", "sharded", "--threads", threads]);
-            assert_eq!(event, sharded, "--threads {threads} changed the output");
+            let sharded = cmd(&["--threads", threads]);
+            assert_eq!(default, sharded, "--threads {threads} changed the output");
         }
         assert_eq!(
             parse(&s(&["run", "--benchmark", "gcc", "--threads", "0"])),
             Err(CliError::BadValue("--threads".to_string(), "0".to_string()))
+        );
+    }
+
+    #[test]
+    fn retired_engine_flag_is_a_usage_error() {
+        // One timing engine remains, so its selector flag is gone (built
+        // from parts so the retired spelling appears nowhere else).
+        let flag = ["--", "engine"].concat();
+        assert_eq!(
+            parse(&s(&["run", "--benchmark", "gcc", &flag, "legacy"])),
+            Err(CliError::UnknownFlag(flag))
         );
     }
 
@@ -2274,8 +2251,7 @@ mod tests {
             config_path: Some("/nonexistent/ssim.json".to_string()),
             json: false,
             trace_out: None,
-            engine: EngineKind::default(),
-            threads: None,
+            threads: 1,
         });
         assert!(matches!(execute(&cmd), Err(CliError::BadConfig(_))));
     }

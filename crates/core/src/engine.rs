@@ -28,7 +28,7 @@
 //! the same fidelity class as the paper's trace-driven SSim.
 
 use crate::config::{PredictorKind, SimConfig};
-use crate::event::{EngineKind, StoreHashBuilder, WakeHeap};
+use crate::event::{StoreHashBuilder, WakeHeap};
 use crate::predictor::BranchPredictor;
 use crate::stats::{SimResult, StallBreakdown};
 use sharing_cache::mshr::MshrOutcome;
@@ -216,100 +216,15 @@ impl MemorySystem {
     }
 }
 
-/// A bounded structural resource: a multiset of busy-until times.
-///
-/// `acquire(t)` finds a slot free at or before `t`, or returns the earliest
-/// time one frees. The caller then sets the slot's release time.
-#[derive(Clone, Debug)]
-struct Slots {
-    free_at: Vec<u64>,
-}
-
-impl Slots {
-    fn new(n: usize) -> Self {
-        Slots {
-            free_at: vec![0; n],
-        }
-    }
-
-    /// Earliest cycle at/after `t` a slot is available.
-    fn available_at(&self, t: u64) -> u64 {
-        let min = self.free_at.iter().copied().min().unwrap_or(0);
-        t.max(min)
-    }
-
-    /// Occupies a slot until `until`. The earliest-free slot is reserved;
-    /// callers should gate on [`Slots::available_at`] first so the chosen
-    /// slot is genuinely free at the acquisition time.
-    fn occupy(&mut self, _t: u64, until: u64) {
-        let idx = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("Slots is never empty");
-        self.free_at[idx] = self.free_at[idx].max(until);
-    }
-
-    fn clear(&mut self) {
-        self.free_at.iter_mut().for_each(|v| *v = 0);
-    }
-}
-
-/// A bounded structural resource in whichever representation the
-/// engine's [`EngineKind`] selects: the original linear-scanned
-/// [`Slots`] (legacy) or the event-driven [`WakeHeap`]. The two are
-/// observably identical — only the multiset of slot free-times can be
-/// seen through `available_at`/`occupy` — which the differential suite
-/// pins byte-for-byte.
-#[derive(Clone, Debug)]
-enum Pool {
-    Scan(Slots),
-    Heap(WakeHeap),
-}
-
-impl Pool {
-    fn new(n: usize, kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Legacy => Pool::Scan(Slots::new(n)),
-            EngineKind::EventDriven | EngineKind::Sharded => Pool::Heap(WakeHeap::new(n)),
-        }
-    }
-
-    /// Earliest cycle at/after `t` a slot is available.
-    fn available_at(&self, t: u64) -> u64 {
-        match self {
-            Pool::Scan(s) => s.available_at(t),
-            Pool::Heap(h) => h.available_at(t),
-        }
-    }
-
-    /// Occupies the earliest-free slot until `until`.
-    fn occupy(&mut self, t: u64, until: u64) {
-        match self {
-            Pool::Scan(s) => s.occupy(t, until),
-            Pool::Heap(h) => h.occupy(t, until),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Pool::Scan(s) => s.clear(),
-            Pool::Heap(h) => h.clear(),
-        }
-    }
-}
-
-/// [`Slots`] specialised for resources released **at commit** (ROB
-/// entries, the global register free list, LRF entries).
+/// A bounded structural pool specialised for resources released **at
+/// commit** (ROB entries, the global register free list, LRF entries).
 ///
 /// Commit times are monotonically nondecreasing in program order
 /// (`commit = commit_ready.max(prev_commit)`), so the release times form
 /// a sorted circular buffer: the earliest-free slot is always the oldest
 /// occupied one. That turns both the `available_at` min-scan and the
-/// `occupy` argmin-scan — O(entries) per instruction in [`Slots`] — into
-/// O(1) ring operations with the identical observable multiset.
+/// `occupy` argmin-scan of a general pool — O(entries) per instruction —
+/// into O(1) ring operations with the identical observable multiset.
 #[derive(Clone, Debug)]
 struct FifoSlots {
     free_at: Vec<u64>,
@@ -331,7 +246,7 @@ impl FifoSlots {
 
     /// Occupies the earliest-free slot until `until` (a commit time, so
     /// `until` is never below the head's current release).
-    fn occupy(&mut self, _t: u64, until: u64) {
+    fn occupy(&mut self, until: u64) {
         let head = self.head;
         self.free_at[head] = self.free_at[head].max(until);
         self.head = (head + 1) % self.free_at.len();
@@ -482,12 +397,12 @@ struct SliceState {
     mshr: MshrFile,
     alu: FuCalendar,
     lsu: FuCalendar,
-    alu_window: Pool,
-    ls_window: Pool,
+    alu_window: WakeHeap,
+    ls_window: WakeHeap,
     rob: FifoSlots,
     lrf: FifoSlots,
-    lsq_bank: Pool,
-    store_buffer: Pool,
+    lsq_bank: WakeHeap,
+    store_buffer: WakeHeap,
     /// For the ordered-LSQ baseline: latest address-resolve time of any
     /// older store sorted to this bank.
     store_barrier: u64,
@@ -550,7 +465,6 @@ pub struct InstTiming {
 #[derive(Debug)]
 pub struct VCoreEngine {
     cfg: SimConfig,
-    kind: EngineKind,
     vcore_id: usize,
     slices: Vec<SliceState>,
     coords: Vec<Coord>,
@@ -616,18 +530,9 @@ impl VerifyState {
 }
 
 impl VCoreEngine {
-    /// Creates an engine for `vcore_id` with the given configuration,
-    /// using the default (event-driven) scheduling.
+    /// Creates an engine for `vcore_id` with the given configuration.
     #[must_use]
     pub fn new(cfg: SimConfig, vcore_id: usize) -> Self {
-        Self::new_with_kind(cfg, vcore_id, EngineKind::default())
-    }
-
-    /// Creates an engine with an explicit [`EngineKind`]. Legacy and
-    /// event-driven engines produce byte-identical results; legacy
-    /// exists as the oracle for the differential suite.
-    #[must_use]
-    pub fn new_with_kind(cfg: SimConfig, vcore_id: usize, kind: EngineKind) -> Self {
         let n = cfg.slices();
         // Capacities are nominal; the modeled hierarchy is co-scaled down
         // with the workloads (see `sharing_isa::CAPACITY_SCALE`) so the
@@ -650,12 +555,12 @@ impl VCoreEngine {
                 mshr: MshrFile::new(cfg.slice.max_inflight_loads),
                 alu: FuCalendar::default(),
                 lsu: FuCalendar::default(),
-                alu_window: Pool::new(cfg.slice.issue_window, kind),
-                ls_window: Pool::new(cfg.slice.ls_window, kind),
+                alu_window: WakeHeap::new(cfg.slice.issue_window),
+                ls_window: WakeHeap::new(cfg.slice.ls_window),
                 rob: FifoSlots::new(cfg.slice.rob_entries),
                 lrf: FifoSlots::new(cfg.slice.local_regs),
-                lsq_bank: Pool::new(cfg.slice.lsq_entries, kind),
-                store_buffer: Pool::new(cfg.slice.store_buffer, kind),
+                lsq_bank: WakeHeap::new(cfg.slice.lsq_entries),
+                store_buffer: WakeHeap::new(cfg.slice.store_buffer),
                 store_barrier: 0,
                 local_copy: [(u64::MAX, 0); NUM_ARCH_REGS],
             })
@@ -665,17 +570,11 @@ impl VCoreEngine {
         // while the namespace is sized for the largest configuration.
         let freelist = FifoSlots::new((cfg.slice.global_regs - NUM_ARCH_REGS) * n);
         VCoreEngine {
-            operand_net: match kind {
-                EngineKind::EventDriven | EngineKind::Sharded => {
-                    QueuedNetwork::new(mesh, cfg.knobs.operand_latency, cfg.knobs.operand_planes)
-                }
-                EngineKind::Legacy => QueuedNetwork::new_polled(
-                    mesh,
-                    cfg.knobs.operand_latency,
-                    cfg.knobs.operand_planes,
-                ),
-            },
-            kind,
+            operand_net: QueuedNetwork::new(
+                mesh,
+                cfg.knobs.operand_latency,
+                cfg.knobs.operand_planes,
+            ),
             cfg,
             vcore_id,
             slices,
@@ -758,12 +657,6 @@ impl VCoreEngine {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Which scheduling implementation this engine uses.
-    #[must_use]
-    pub fn engine_kind(&self) -> EngineKind {
-        self.kind
     }
 
     /// Cycles elapsed so far (the last commit).
@@ -1163,9 +1056,9 @@ impl VCoreEngine {
 
         // Window entry held from dispatch to issue.
         if is_mem {
-            self.slices[s].ls_window.occupy(dispatch, issue);
+            self.slices[s].ls_window.occupy(issue);
         } else {
-            self.slices[s].alu_window.occupy(dispatch, issue);
+            self.slices[s].alu_window.occupy(issue);
         }
 
         // ---- Commit (in order, pre-commit broadcast, bounded width) ----
@@ -1185,10 +1078,10 @@ impl VCoreEngine {
         self.prev_commit = commit;
 
         // Release dispatch-side resources at commit.
-        self.slices[s].rob.occupy(dispatch, commit);
+        self.slices[s].rob.occupy(commit);
         if inst.dst.is_some() {
-            self.freelist.occupy(dispatch, commit);
-            self.slices[s].lrf.occupy(dispatch, commit);
+            self.freelist.occupy(commit);
+            self.slices[s].lrf.occupy(commit);
         }
 
         // Store commit: drain through the home store buffer into the L1D.
@@ -1212,8 +1105,8 @@ impl VCoreEngine {
                 self.result.mem.coherence_forwards += cf;
             }
             let done = sb_at + lat;
-            self.slices[home].store_buffer.occupy(sb_at, done);
-            self.slices[home].lsq_bank.occupy(sb_at.max(commit), done);
+            self.slices[home].store_buffer.occupy(done);
+            self.slices[home].lsq_bank.occupy(done);
             if let Some(rec) = self.store_map.get_mut(&addr) {
                 if rec.seq == seq {
                     rec.cache_written = done;
@@ -1425,7 +1318,7 @@ impl VCoreEngine {
 
         // Data returns to the issuing Slice over the network.
         let exec_done = data_at_home + self.ls_latency(home, s);
-        self.slices[home].lsq_bank.occupy(t, exec_done);
+        self.slices[home].lsq_bank.occupy(exec_done);
         (issue, exec_done, forwarded, mem_stall)
     }
 
@@ -1485,9 +1378,38 @@ impl VCoreEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sharing_isa::MemSize;
+
+    /// The original scanned structural pool — a multiset of busy-until
+    /// times searched linearly — kept as the reference for [`WakeHeap`]
+    /// and [`FifoSlots`].
+    #[derive(Clone, Debug)]
+    pub(crate) struct Slots {
+        pub(crate) free_at: Vec<u64>,
+    }
+
+    impl Slots {
+        pub(crate) fn new(n: usize) -> Self {
+            Slots {
+                free_at: vec![0; n],
+            }
+        }
+
+        /// Earliest cycle at/after `t` a slot is available.
+        pub(crate) fn available_at(&self, t: u64) -> u64 {
+            t.max(self.free_at.iter().copied().min().unwrap_or(0))
+        }
+
+        /// Occupies the earliest-free slot until `until`.
+        pub(crate) fn occupy(&mut self, until: u64) {
+            let idx = (0..self.free_at.len())
+                .min_by_key(|&i| self.free_at[i])
+                .expect("Slots is never empty");
+            self.free_at[idx] = self.free_at[idx].max(until);
+        }
+    }
 
     #[test]
     fn fu_calendar_allows_out_of_order_claims() {
@@ -1514,11 +1436,11 @@ mod tests {
     fn slots_capacity_and_availability() {
         let mut s = Slots::new(2);
         assert_eq!(s.available_at(5), 5);
-        s.occupy(5, 50);
-        s.occupy(5, 60);
+        s.occupy(50);
+        s.occupy(60);
         // Both busy: next availability is the earliest release.
         assert_eq!(s.available_at(5), 50);
-        s.occupy(50, 70); // replaces the slot that freed at 50
+        s.occupy(70); // replaces the slot that freed at 50
         assert_eq!(s.available_at(0), 60);
     }
 
@@ -1589,8 +1511,8 @@ mod tests {
             let t = commit.saturating_sub(x >> 60);
             assert_eq!(ring.available_at(t), reference.available_at(t));
             commit += x >> 62; // nondecreasing, advances 0..=3
-            ring.occupy(t, commit);
-            reference.occupy(t, commit);
+            ring.occupy(commit);
+            reference.occupy(commit);
         }
     }
 

@@ -11,66 +11,20 @@
 //! Component/`next_tick` model described in DESIGN.md §13.
 //!
 //! The hard bar is byte-identity: [`WakeHeap`] must be *observably
-//! identical* to the scan it replaces. That holds because a pool's
+//! identical* to the scan it replaced. That holds because a pool's
 //! slots are interchangeable — only the multiset of free-times is
 //! observable. `available_at` returns the multiset minimum either way,
 //! and `occupy` replaces one minimum instance with
 //! `max(minimum, until)`; which physical slot holds the value cannot be
-//! seen. The differential suite (`tests/event_equiv.rs` and the PR 5
-//! style unit pins) enforces this bit-for-bit across every benchmark.
+//! seen. The unit tests below pin this against the scanned pool and a
+//! multiset model; `tests/golden.rs` pins whole-run results.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Which engine implementation a run uses. All kinds produce
-/// byte-identical [`crate::SimResult`]s; they differ only in how
-/// resource wake-ups are found and how many host threads advance a VM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Discrete-event scheduling: min-heap wake-ups for structural
-    /// pools, bitmap calendars for FUs and network links. The default.
-    #[default]
-    EventDriven,
-    /// The original polled implementation: linear scans over busy-until
-    /// times and per-cycle `BTreeSet` walks on network links. Kept as
-    /// the oracle for differential tests.
-    Legacy,
-    /// Event-driven internals plus intra-run worker threads inside a
-    /// [`crate::VmSimulator`]: each VCore engine advances its chunk on a
-    /// forked memory system between deterministic barriers, and the
-    /// access streams are merged in VCore order (DESIGN.md §14). For a
-    /// single-trace [`crate::Simulator`] run there is only one engine,
-    /// so this is exactly `EventDriven`. Byte-identical to both other
-    /// kinds for any worker count.
-    Sharded,
-}
-
-impl EngineKind {
-    /// Short name for logs and CLI flags.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::EventDriven => "event",
-            EngineKind::Legacy => "legacy",
-            EngineKind::Sharded => "sharded",
-        }
-    }
-
-    /// Parses a CLI spelling.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "event" | "event-driven" | "event_driven" => Some(EngineKind::EventDriven),
-            "legacy" | "polled" => Some(EngineKind::Legacy),
-            "sharded" | "threads" => Some(EngineKind::Sharded),
-            _ => None,
-        }
-    }
-}
-
 /// A bounded structural resource as a min-heap of slot wake-up times.
 ///
-/// The event-driven twin of the engine's `Slots`: a pool of `n`
-/// interchangeable slots, each free again at its recorded time.
+/// A pool of `n` interchangeable slots, each free again at its
+/// recorded time.
 /// `available_at` peeks the earliest wake-up; `occupy` reschedules that
 /// earliest slot to `max(its time, until)` and sifts it down. Starting
 /// state (all zeros) is a valid heap, so `clear` is a fill.
@@ -99,9 +53,9 @@ impl WakeHeap {
     }
 
     /// Occupies the earliest-free slot until `until`: replaces the root
-    /// with `max(root, until)` and restores the heap. Mirrors the
-    /// scanned pool's argmin-replace exactly (same multiset evolution).
-    pub fn occupy(&mut self, _t: u64, until: u64) {
+    /// with `max(root, until)` and restores the heap. Mirrors a scanned
+    /// pool's argmin-replace exactly (same multiset evolution).
+    pub fn occupy(&mut self, until: u64) {
         self.heap[0] = self.heap[0].max(until);
         self.sift_down();
     }
@@ -170,29 +124,17 @@ impl Hasher for SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kind_names_round_trip() {
-        for k in [
-            EngineKind::EventDriven,
-            EngineKind::Legacy,
-            EngineKind::Sharded,
-        ] {
-            assert_eq!(EngineKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(EngineKind::from_name("polled"), Some(EngineKind::Legacy));
-        assert_eq!(EngineKind::from_name("quantum"), None);
-    }
+    use crate::engine::tests::Slots;
 
     #[test]
     fn wake_heap_tracks_min_and_capacity() {
         let mut h = WakeHeap::new(2);
         assert_eq!(h.available_at(5), 5);
-        h.occupy(5, 50);
-        h.occupy(5, 60);
+        h.occupy(50);
+        h.occupy(60);
         // Both busy: next availability is the earliest release.
         assert_eq!(h.available_at(5), 50);
-        h.occupy(50, 70); // reschedules the slot that freed at 50
+        h.occupy(70); // reschedules the slot that freed at 50
         assert_eq!(h.available_at(0), 60);
     }
 
@@ -201,20 +143,6 @@ mod tests {
     /// interleavings including `until` below the current minimum.
     #[test]
     fn wake_heap_matches_scanned_slots_reference() {
-        struct ScanRef {
-            free_at: Vec<u64>,
-        }
-        impl ScanRef {
-            fn available_at(&self, t: u64) -> u64 {
-                t.max(self.free_at.iter().copied().min().unwrap())
-            }
-            fn occupy(&mut self, until: u64) {
-                let idx = (0..self.free_at.len())
-                    .min_by_key(|&i| self.free_at[i])
-                    .unwrap();
-                self.free_at[idx] = self.free_at[idx].max(until);
-            }
-        }
         let mut seed = 0x1234_5678_9ABC_DEF0u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -224,9 +152,7 @@ mod tests {
         };
         for n in [1usize, 2, 8, 32] {
             let mut heap = WakeHeap::new(n);
-            let mut scan = ScanRef {
-                free_at: vec![0; n],
-            };
+            let mut scan = Slots::new(n);
             let mut now = 0u64;
             for step in 0..10_000u64 {
                 let r = rng();
@@ -238,7 +164,7 @@ mod tests {
                 );
                 // Mostly forward releases, occasionally below the min.
                 let until = if r % 13 == 0 { now / 2 } else { now + r % 40 };
-                heap.occupy(now, until);
+                heap.occupy(until);
                 scan.occupy(until);
             }
             let mut a = heap.heap.clone();
@@ -299,13 +225,13 @@ mod tests {
         let mut heap = WakeHeap::new(4);
         let mut model = MultisetRef::new(4);
         for _ in 0..4 {
-            heap.occupy(0, 10);
+            heap.occupy(10);
             model.occupy(10);
         }
         assert_eq!(heap.available_at(0), 10);
         for k in 0..4u64 {
             assert_eq!(heap.available_at(0), model.available_at(0), "dup {k}");
-            heap.occupy(10, 20 + k);
+            heap.occupy(20 + k);
             model.occupy(20 + k);
         }
         let mut a = heap.heap.clone();
@@ -321,10 +247,10 @@ mod tests {
         // multiset is unchanged.
         let mut heap = WakeHeap::new(3);
         for _ in 0..3 {
-            heap.occupy(0, 40);
+            heap.occupy(40);
         }
         let before = heap.heap.clone();
-        heap.occupy(40, 7); // far below every release time
+        heap.occupy(7); // far below every release time
         assert_eq!(heap.heap, before, "an earlier `until` must be a no-op");
         assert_eq!(heap.available_at(0), 40);
     }
@@ -335,7 +261,7 @@ mod tests {
         let mut model = MultisetRef::new(1);
         for (t, until) in [(0u64, 5u64), (5, 9), (9, 9), (9, 2), (20, 31)] {
             assert_eq!(heap.available_at(t), model.available_at(t));
-            heap.occupy(t, until);
+            heap.occupy(until);
             model.occupy(until);
         }
         assert_eq!(heap.heap, model.sorted());
@@ -371,7 +297,7 @@ mod tests {
                 } else {
                     (now + r % 16) / 4 * 4
                 };
-                heap.occupy(now, until);
+                heap.occupy(until);
                 model.occupy(until);
                 if step % 1_024 == 0 {
                     let mut a = heap.heap.clone();
@@ -389,7 +315,7 @@ mod tests {
     fn clear_frees_everything() {
         let mut h = WakeHeap::new(4);
         for _ in 0..4 {
-            h.occupy(0, 99);
+            h.occupy(99);
         }
         assert_eq!(h.available_at(1), 99);
         h.clear();

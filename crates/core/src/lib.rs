@@ -56,7 +56,7 @@ pub use config::{
     MAX_L2_BANKS, MAX_SLICES,
 };
 pub use engine::{InstTiming, MemAccess, MemorySystem, VCoreEngine};
-pub use event::{EngineKind, WakeHeap};
+pub use event::WakeHeap;
 pub use multi::VmSimulator;
 pub use profile::{CycleProfile, SliceCycles};
 pub use reconfig::ReconfigCosts;

@@ -19,12 +19,10 @@
 //! engine's own accesses", and the merge order is fixed, the result is
 //! byte-identical no matter how many worker threads ran the compute
 //! phase — which is what lets [`VmSimulator::with_threads`] parallelize
-//! a single run across cores ([`EngineKind::Sharded`]) without giving
-//! up determinism.
+//! a single run across cores without giving up determinism.
 
 use crate::config::{ConfigError, SimConfig};
 use crate::engine::{MemAccess, MemorySystem, VCoreEngine};
-use crate::event::EngineKind;
 use crate::par;
 use crate::stats::SimResult;
 use sharing_isa::DynInst;
@@ -52,8 +50,7 @@ pub const DEFAULT_CHUNK: usize = 1_000;
 pub struct VmSimulator {
     cfg: SimConfig,
     chunk: usize,
-    kind: EngineKind,
-    threads: Option<usize>,
+    threads: usize,
 }
 
 /// One VCore's barrier-to-barrier state: its engine, its instruction
@@ -78,28 +75,18 @@ impl VmSimulator {
         Ok(VmSimulator {
             cfg,
             chunk: DEFAULT_CHUNK,
-            kind: EngineKind::default(),
-            threads: None,
+            threads: 1,
         })
     }
 
-    /// Selects the engine implementation (byte-identical results either
-    /// way; see [`EngineKind`]). [`EngineKind::Sharded`] additionally
-    /// defaults the worker count to the machine instead of 1.
-    #[must_use]
-    pub fn with_engine(mut self, kind: EngineKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Sets how many worker threads advance the VM's VCores between
-    /// barriers (minimum 1; capped at the VCore count). A pure
-    /// throughput knob: the barrier protocol makes the result
+    /// barriers (default and minimum 1; capped at the VCore count). A
+    /// pure throughput knob: the barrier protocol makes the result
     /// byte-identical for every worker count, which
     /// `tests/sharded_equiv.rs` pins across the whole suite.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.threads = threads.max(1);
         self
     }
 
@@ -115,20 +102,6 @@ impl VmSimulator {
         self
     }
 
-    /// Worker threads for a run over `lanes` VCores: the explicit
-    /// [`VmSimulator::with_threads`] choice, else the machine size for
-    /// [`EngineKind::Sharded`], else 1.
-    fn workers_for(&self, lanes: usize) -> usize {
-        let requested = match self.threads {
-            Some(n) => n,
-            None => match self.kind {
-                EngineKind::Sharded => par::resolve_jobs(None),
-                _ => 1,
-            },
-        };
-        requested.clamp(1, lanes.max(1))
-    }
-
     /// The barrier loop shared by [`VmSimulator::run`] and
     /// [`VmSimulator::run_coscheduled`]: builds one engine per entry of
     /// `streams`, advances them chunkwise over forks of `mem`, and
@@ -139,14 +112,14 @@ impl VmSimulator {
             .enumerate()
             .map(|(v, insts)| {
                 Mutex::new(Lane {
-                    engine: VCoreEngine::new_with_kind(self.cfg, v, self.kind),
+                    engine: VCoreEngine::new(self.cfg, v),
                     insts,
                     cursor: 0,
                     log: Vec::new(),
                 })
             })
             .collect();
-        let workers = self.workers_for(lanes.len());
+        let workers = self.threads.clamp(1, lanes.len().max(1));
         let mem = RwLock::new(mem);
         let mut inval_scratch: Vec<(usize, u64)> = Vec::new();
         par::bsp_loop(
@@ -344,7 +317,7 @@ mod tests {
     #[test]
     fn worker_count_cannot_change_the_result() {
         // The tentpole invariant in miniature (the full 15-benchmark ×
-        // {kind} × {workers} sweep lives in tests/sharded_equiv.rs).
+        // {workers} sweep lives in tests/sharded_equiv.rs).
         let cfg = SimConfig::with_shape(2, 4).unwrap();
         let w = Benchmark::Dedup.generate_threaded(&TraceSpec::new(2_000, 8));
         let base = VmSimulator::new(cfg).unwrap().with_threads(1).run(&w);
@@ -352,11 +325,6 @@ mod tests {
             let r = VmSimulator::new(cfg).unwrap().with_threads(threads).run(&w);
             assert_eq!(base, r, "{threads} workers diverged from 1 worker");
         }
-        let sharded = VmSimulator::new(cfg)
-            .unwrap()
-            .with_engine(EngineKind::Sharded)
-            .run(&w);
-        assert_eq!(base, sharded, "sharded kind diverged");
     }
 
     #[test]

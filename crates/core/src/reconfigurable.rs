@@ -17,7 +17,6 @@
 
 use crate::config::{ConfigError, SimConfig, VCoreShape};
 use crate::engine::{MemorySystem, VCoreEngine};
-use crate::event::EngineKind;
 use crate::reconfig::ReconfigCosts;
 use crate::stats::SimResult;
 use sharing_isa::DynInst;
@@ -49,7 +48,6 @@ pub struct ReconfigurableVCore {
     engine: VCoreEngine,
     mem: MemorySystem,
     costs: ReconfigCosts,
-    kind: EngineKind,
     /// Results of completed (pre-reconfiguration) engine incarnations.
     completed: Vec<SimResult>,
     /// Memory-system counters already attributed to retired incarnations
@@ -73,7 +71,6 @@ impl ReconfigurableVCore {
             mem: MemorySystem::private(cfg.l2_banks(), cfg.mem.memory_delay),
             cfg,
             costs: ReconfigCosts::paper(),
-            kind: EngineKind::default(),
             completed: Vec::new(),
             mem_baseline: (0, 0, 0),
             reconfigurations: 0,
@@ -85,16 +82,6 @@ impl ReconfigurableVCore {
     #[must_use]
     pub fn with_costs(mut self, costs: ReconfigCosts) -> Self {
         self.costs = costs;
-        self
-    }
-
-    /// Selects the engine implementation for this and every future
-    /// incarnation (byte-identical results either way; see
-    /// [`EngineKind`]). Call before the first [`run`](Self::run).
-    #[must_use]
-    pub fn with_engine(mut self, kind: EngineKind) -> Self {
-        self.kind = kind;
-        self.engine = VCoreEngine::new_with_kind(self.cfg, 0, kind);
         self
     }
 
@@ -150,10 +137,7 @@ impl ReconfigurableVCore {
 
         // Retire the old engine's statistics, attributing only the memory
         // traffic this incarnation added.
-        let old_engine = std::mem::replace(
-            &mut self.engine,
-            VCoreEngine::new_with_kind(new_cfg, 0, self.kind),
-        );
+        let old_engine = std::mem::replace(&mut self.engine, VCoreEngine::new(new_cfg, 0));
         let mut retired = old_engine.finish("phase");
         self.absorb_mem_delta(&mut retired);
         self.completed.push(retired);
@@ -190,10 +174,7 @@ impl ReconfigurableVCore {
     /// continuous clock.
     #[must_use]
     pub fn finish(mut self) -> SimResult {
-        let engine = std::mem::replace(
-            &mut self.engine,
-            VCoreEngine::new_with_kind(self.cfg, 0, self.kind),
-        );
+        let engine = std::mem::replace(&mut self.engine, VCoreEngine::new(self.cfg, 0));
         let mut last = engine.finish("reconfigurable-vcore");
         self.absorb_mem_delta(&mut last);
         let mut completed = std::mem::take(&mut self.completed);

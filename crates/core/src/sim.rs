@@ -11,7 +11,6 @@
 
 use crate::config::{ConfigError, SimConfig};
 use crate::engine::{InstTiming, MemorySystem, VCoreEngine};
-use crate::event::EngineKind;
 use crate::reconfig::ReconfigCosts;
 use crate::stats::SimResult;
 use sharing_trace::Trace;
@@ -38,15 +37,14 @@ pub(crate) fn observe_run(result: &SimResult) {
 
 /// What a [`Simulator::run_with`] call should do beyond timing the trace.
 ///
-/// Built fluently; the default is a plain run on the (event-driven)
-/// default engine. Every option is pure observation or placement — none
-/// changes the committed [`SimResult`] except `bank_distances`, which
-/// models genuinely different hardware.
+/// Built fluently; the default is a plain run. Every option is pure
+/// observation or placement — none changes the committed [`SimResult`]
+/// except `bank_distances`, which models genuinely different hardware.
 ///
 /// # Example
 ///
 /// ```
-/// use sharing_core::{EngineKind, RunOptions, SimConfig, Simulator};
+/// use sharing_core::{RunOptions, SimConfig, Simulator};
 /// use sharing_trace::{Benchmark, TraceSpec};
 ///
 /// let trace = Benchmark::Gcc.generate(&TraceSpec::new(2_000, 1));
@@ -54,14 +52,12 @@ pub(crate) fn observe_run(result: &SimResult) {
 /// let out = sim.run_with(&trace, RunOptions::new().verify().record_timings());
 /// assert_eq!(out.verified, Some(true));
 /// assert_eq!(out.timings.unwrap().len() as u64, out.result.instructions);
-/// // The legacy polled engine produces byte-identical results.
-/// let legacy = sim.run_with(&trace, RunOptions::new().engine(EngineKind::Legacy));
-/// assert_eq!(legacy.result, out.result);
+/// // Verification and timing records are pure observation.
+/// assert_eq!(sim.run_with(&trace, RunOptions::new()).result, out.result);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions<'a> {
-    engine: EngineKind,
     bank_distances: Option<Vec<u32>>,
     trace_to: Option<&'a sharing_obs::TraceBuffer>,
     #[cfg(feature = "profile")]
@@ -71,19 +67,10 @@ pub struct RunOptions<'a> {
 }
 
 impl<'a> RunOptions<'a> {
-    /// A plain run: default (event-driven) engine, no extras.
+    /// A plain run, no extras.
     #[must_use]
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// Selects the engine implementation. All kinds produce
-    /// byte-identical [`SimResult`]s (see [`EngineKind`]); `Legacy` is
-    /// the polled oracle kept for differential testing.
-    #[must_use]
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
-        self
     }
 
     /// Places the L2 banks at explicit network distances — the
@@ -200,8 +187,7 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Runs a trace to completion under `options` — the single entry
-    /// point every older `run_*` method now forwards to. See
+    /// Runs a trace to completion under `options`. See
     /// [`RunOptions`] for what can ride along and [`RunOutput`] for what
     /// comes back.
     ///
@@ -222,7 +208,7 @@ impl Simulator {
             }
             None => MemorySystem::private(self.cfg.l2_banks(), self.cfg.mem.memory_delay),
         };
-        let mut engine = VCoreEngine::new_with_kind(self.cfg, 0, options.engine);
+        let mut engine = VCoreEngine::new(self.cfg, 0);
         if options.verify {
             engine.enable_verification();
         }
@@ -288,8 +274,7 @@ impl Simulator {
 /// reconfigured VCore, charging the paper's reconfiguration costs between
 /// phases (§5.10). Caches and predictors restart cold per phase — matching
 /// the L2-flush semantics of reconfiguration — and the returned cycle count
-/// includes the reconfiguration stalls. `engine` selects the engine
-/// implementation for every phase (byte-identical results either way).
+/// includes the reconfiguration stalls.
 ///
 /// # Errors
 ///
@@ -301,7 +286,6 @@ impl Simulator {
 pub fn run_phased_with(
     phases: &[(Trace, SimConfig)],
     costs: ReconfigCosts,
-    engine: EngineKind,
 ) -> Result<SimResult, ConfigError> {
     assert!(!phases.is_empty(), "at least one phase required");
     let mut total = SimResult {
@@ -311,7 +295,7 @@ pub fn run_phased_with(
     let mut prev_shape = None;
     for (trace, cfg) in phases {
         let r = Simulator::new(*cfg)?
-            .run_with(trace, RunOptions::new().engine(engine))
+            .run_with(trace, RunOptions::new())
             .result;
         if let Some(prev) = prev_shape {
             total.cycles += costs.cost(prev, cfg.shape());
@@ -670,13 +654,11 @@ mod tests {
         let phased = run_phased_with(
             &[(phases[0].clone(), cfg_a), (phases[1].clone(), cfg_b)],
             ReconfigCosts::paper(),
-            EngineKind::default(),
         )
         .unwrap();
         let same = run_phased_with(
             &[(phases[0].clone(), cfg_a), (phases[1].clone(), cfg_a)],
             ReconfigCosts::paper(),
-            EngineKind::default(),
         )
         .unwrap();
         assert_eq!(phased.instructions, 4_000);
@@ -684,21 +666,5 @@ mod tests {
         assert!(phased.cycles >= same.cycles.saturating_sub(20_000));
         let raw_a = run_plain(SimConfig::with_shape(2, 2).unwrap(), &phases[0]);
         assert!(phased.cycles > raw_a.cycles, "includes both phases");
-    }
-
-    /// The three engines must agree to the byte on the full result; the
-    /// heavy cross-benchmark sweeps live in `tests/event_equiv.rs` and
-    /// `tests/sharded_equiv.rs`.
-    #[test]
-    fn engines_are_byte_identical_smoke() {
-        let t = gcc(6_000);
-        for (s, b) in [(1usize, 0usize), (2, 2), (8, 16)] {
-            let sim = Simulator::new(SimConfig::with_shape(s, b).unwrap()).unwrap();
-            let event = sim.run_with(&t, RunOptions::new());
-            let legacy = sim.run_with(&t, RunOptions::new().engine(EngineKind::Legacy));
-            let sharded = sim.run_with(&t, RunOptions::new().engine(EngineKind::Sharded));
-            assert_eq!(event.result, legacy.result, "{s}s/{b}b legacy diverged");
-            assert_eq!(event.result, sharded.result, "{s}s/{b}b sharded diverged");
-        }
     }
 }

@@ -15,8 +15,8 @@
 //! this test prints the full regenerated table, ready to paste in.
 
 use sharing_core::{
-    run_phased_with, EngineKind, ReconfigCosts, ReconfigurableVCore, RunOptions, SimConfig,
-    SimResult, Simulator, VCoreShape, VmSimulator,
+    run_phased_with, ReconfigCosts, ReconfigurableVCore, RunOptions, SimConfig, SimResult,
+    Simulator, VCoreShape, VmSimulator,
 };
 use sharing_trace::{
     bursty_profile, phase_shift_profile, Benchmark, ProgramGenerator, Trace, TraceSpec,
@@ -65,9 +65,9 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// Every case, in file order.
-fn table(kind: EngineKind) -> Table {
+fn table() -> Table {
     let mut t = Table::default();
-    let opts = || RunOptions::new().engine(kind);
+    let opts = RunOptions::new;
 
     // All fifteen benchmarks at one mid-size shape.
     let spec = TraceSpec::new(4_000, 11);
@@ -118,10 +118,7 @@ fn table(kind: EngineKind) -> Table {
     }
 
     // Every benchmark as a 4-thread VM over a shared L2.
-    let vm = VmSimulator::new(cfg(2, 4))
-        .expect("valid config")
-        .with_engine(kind)
-        .with_threads(1);
+    let vm = VmSimulator::new(cfg(2, 4)).expect("valid config");
     let spec = TraceSpec::new(3_000, 11);
     for &bench in &ALL_BENCHMARKS {
         let r = vm.run(&bench.generate_threaded(&spec));
@@ -183,7 +180,6 @@ fn table(kind: EngineKind) -> Table {
             (phases[1].clone(), cfg(2, 4)),
         ],
         ReconfigCosts::paper(),
-        kind,
     )
     .expect("valid phases");
     t.result("phased/gcc@2x2>2x4", &r);
@@ -192,9 +188,7 @@ fn table(kind: EngineKind) -> Table {
     let phases = Benchmark::Gcc
         .generate(&TraceSpec::new(6_000, 1))
         .split_phases(3);
-    let mut vcore = ReconfigurableVCore::new(cfg(1, 2))
-        .expect("valid config")
-        .with_engine(kind);
+    let mut vcore = ReconfigurableVCore::new(cfg(1, 2)).expect("valid config");
     vcore.run(&phases[0]);
     vcore
         .reconfigure(VCoreShape::new(4, 2).expect("shape"))
@@ -216,22 +210,19 @@ fn results_match_golden_digests() {
         .lines()
         .filter(|l| cfg!(feature = "profile") || !l.starts_with("profile/"))
         .collect();
-    for kind in [EngineKind::Legacy, EngineKind::EventDriven] {
-        let got = table(kind).0;
-        if got != expected {
-            let moved: Vec<&String> = got
-                .iter()
-                .filter(|l| !expected.contains(&l.as_str()))
-                .collect();
-            panic!(
-                "{} engine: {} of {} golden lines differ, first {:?}.\n\
-                 Regenerated golden_digests.txt:\n{}\n",
-                kind.name(),
-                moved.len(),
-                got.len(),
-                moved.first(),
-                got.join("\n")
-            );
-        }
+    let got = table().0;
+    if got != expected {
+        let moved: Vec<&String> = got
+            .iter()
+            .filter(|l| !expected.contains(&l.as_str()))
+            .collect();
+        panic!(
+            "{} of {} golden lines differ, first {:?}.\n\
+             Regenerated golden_digests.txt:\n{}\n",
+            moved.len(),
+            got.len(),
+            moved.first(),
+            got.join("\n")
+        );
     }
 }

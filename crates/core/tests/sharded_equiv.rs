@@ -1,16 +1,16 @@
-//! Differential tests for the sharded engine (DESIGN.md §14).
+//! Differential tests for sharded VM runs (DESIGN.md §14).
 //!
-//! `EngineKind::Sharded` parallelizes a single `VmSimulator` run across
+//! `VmSimulator::with_threads` parallelizes a single VM run across
 //! worker threads, but the barrier protocol — compute on forks of the
 //! shared memory system, replay the recorded access streams in VCore
 //! order — makes the worker count unobservable in the output. These
-//! tests pin that claim the strong way: every benchmark, every engine
-//! kind, worker counts {1, 2, 4, NCPU}, all byte-identical through the
-//! JSON serializer; plus the coscheduled-tenant path, the synthetic
-//! stress profiles, architectural verification, and the cycle
-//! profiler's conservation law on the sharded kind.
+//! tests pin that claim the strong way: every benchmark at worker
+//! counts {1, 2, 4, NCPU}, all byte-identical through the JSON
+//! serializer; plus the coscheduled-tenant path, odd chunk sizes, the
+//! synthetic stress profiles, architectural verification, and the cycle
+//! profiler's conservation law.
 
-use sharing_core::{EngineKind, RunOptions, SimConfig, SimResult, Simulator, VmSimulator};
+use sharing_core::{RunOptions, SimConfig, SimResult, Simulator, VmSimulator};
 use sharing_trace::{
     bursty_profile, phase_shift_profile, Benchmark, ProgramGenerator, TraceSpec, ALL_BENCHMARKS,
 };
@@ -37,14 +37,8 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-const KINDS: [EngineKind; 3] = [
-    EngineKind::EventDriven,
-    EngineKind::Legacy,
-    EngineKind::Sharded,
-];
-
-/// The tentpole sweep: all fifteen benchmarks as 4-thread VMs, every
-/// engine kind crossed with every worker count, one reference result.
+/// All fifteen benchmarks as 4-thread VMs, every worker count, one
+/// reference result.
 #[test]
 fn all_benchmarks_byte_identical_for_any_worker_count() {
     let spec = TraceSpec::new(3_000, 11);
@@ -57,39 +51,14 @@ fn all_benchmarks_byte_identical_for_any_worker_count() {
                 .with_threads(1)
                 .run(&workload),
         );
-        for kind in KINDS {
-            for workers in worker_counts() {
-                let r = VmSimulator::new(cfg)
-                    .expect("valid config")
-                    .with_engine(kind)
-                    .with_threads(workers)
-                    .run(&workload);
-                assert_eq!(
-                    reference,
-                    bytes(&r),
-                    "{bench}: {} engine with {workers} workers diverged",
-                    kind.name()
-                );
-            }
+        for workers in worker_counts() {
+            let r = VmSimulator::new(cfg)
+                .expect("valid config")
+                .with_threads(workers)
+                .run(&workload);
+            assert_eq!(reference, bytes(&r), "{bench}: {workers} workers diverged");
         }
     }
-}
-
-/// The sharded kind's *default* worker count is machine-sized; left
-/// implicit it must still match the single-worker reference.
-#[test]
-fn default_sharded_worker_count_is_unobservable() {
-    let cfg = SimConfig::with_shape(2, 4).expect("valid shape");
-    let workload = Benchmark::Ferret.generate_threaded(&TraceSpec::new(4_000, 29));
-    let reference = VmSimulator::new(cfg)
-        .expect("valid config")
-        .with_threads(1)
-        .run(&workload);
-    let sharded = VmSimulator::new(cfg)
-        .expect("valid config")
-        .with_engine(EngineKind::Sharded)
-        .run(&workload);
-    assert_eq!(bytes(&reference), bytes(&sharded));
 }
 
 /// Coscheduled tenants contend through the shared L2 and directory —
@@ -111,23 +80,18 @@ fn coscheduled_tenants_byte_identical_for_any_worker_count() {
         .iter()
         .map(bytes)
         .collect();
-    for kind in KINDS {
-        for workers in worker_counts() {
-            let results: Vec<String> = VmSimulator::new(cfg)
-                .expect("valid config")
-                .with_engine(kind)
-                .with_threads(workers)
-                .run_coscheduled(&tenants)
-                .iter()
-                .map(bytes)
-                .collect();
-            assert_eq!(
-                reference,
-                results,
-                "{} engine with {workers} workers diverged on coscheduled tenants",
-                kind.name()
-            );
-        }
+    for workers in worker_counts() {
+        let results: Vec<String> = VmSimulator::new(cfg)
+            .expect("valid config")
+            .with_threads(workers)
+            .run_coscheduled(&tenants)
+            .iter()
+            .map(bytes)
+            .collect();
+        assert_eq!(
+            reference, results,
+            "{workers} workers diverged on coscheduled tenants"
+        );
     }
 }
 
@@ -148,7 +112,6 @@ fn odd_chunk_sizes_stay_worker_count_invariant() {
         for workers in [2usize, ncpu().max(2)] {
             let r = VmSimulator::new(cfg)
                 .expect("valid config")
-                .with_engine(EngineKind::Sharded)
                 .with_chunk(chunk)
                 .with_threads(workers)
                 .run(&workload);
@@ -181,7 +144,6 @@ fn stress_profiles_byte_identical_for_any_worker_count() {
         for workers in worker_counts() {
             let r = VmSimulator::new(cfg)
                 .expect("valid config")
-                .with_engine(EngineKind::Sharded)
                 .with_threads(workers)
                 .run(&workload);
             assert_eq!(
@@ -194,72 +156,35 @@ fn stress_profiles_byte_identical_for_any_worker_count() {
     }
 }
 
-/// On a single-trace `Simulator` run the sharded kind is the event
-/// engine wearing a different badge — byte-identical, including on the
-/// stress profiles.
-#[test]
-fn single_trace_sharded_matches_event() {
-    let cfg = SimConfig::with_shape(4, 4).expect("valid shape");
-    let mut traces = vec![
-        Benchmark::Gcc.generate(&TraceSpec::new(4_000, 11)),
-        Benchmark::Apache.generate(&TraceSpec::new(4_000, 13)),
-    ];
-    for profile in [bursty_profile(), phase_shift_profile()] {
-        traces.push(
-            ProgramGenerator::new(&profile, TraceSpec::new(4_000, 23))
-                .expect("profiles validate")
-                .generate_single(),
-        );
-    }
-    for trace in &traces {
-        let event = Simulator::new(cfg)
-            .expect("valid config")
-            .run_with(trace, RunOptions::new().engine(EngineKind::EventDriven))
-            .result;
-        let sharded = Simulator::new(cfg)
-            .expect("valid config")
-            .run_with(trace, RunOptions::new().engine(EngineKind::Sharded))
-            .result;
-        assert_eq!(
-            bytes(&event),
-            bytes(&sharded),
-            "{}: sharded diverged from event",
-            trace.name()
-        );
-    }
-}
-
 /// Architectural verification replays committed values through the ISA
-/// interpreter; the sharded kind must commit the same dataflow.
+/// interpreter; the engine must commit the same dataflow.
 #[test]
-fn verified_runs_agree_on_sharded() {
+fn verified_runs_pass() {
     let trace = Benchmark::Gcc.generate(&TraceSpec::new(2_000, 5));
     let cfg = SimConfig::with_shape(4, 4).expect("valid shape");
-    let out = Simulator::new(cfg).expect("valid config").run_with(
-        &trace,
-        RunOptions::new().engine(EngineKind::Sharded).verify(),
-    );
+    let out = Simulator::new(cfg)
+        .expect("valid config")
+        .run_with(&trace, RunOptions::new().verify());
     assert_eq!(
         out.verified,
         Some(true),
-        "sharded engine failed architectural verification"
+        "architectural verification failed"
     );
 }
 
 /// The cycle profiler's conservation law — every slice's buckets sum to
-/// the run's cycle count — must hold on the sharded kind, and the
-/// attribution must match the event engine's exactly.
+/// the run's cycle count — and the attribution is a pure function of the
+/// run: a rerun matches it exactly.
 #[cfg(feature = "profile")]
 #[test]
-fn profiler_conservation_holds_on_sharded() {
+fn profiler_conserves_and_reruns_identically() {
     let trace = Benchmark::Mcf.generate(&TraceSpec::new(3_000, 7));
     let cfg = SimConfig::with_shape(5, 8).expect("valid shape");
-    let profiles: Vec<_> = [EngineKind::EventDriven, EngineKind::Sharded]
-        .into_iter()
-        .map(|kind| {
+    let profiles: Vec<_> = (0..2)
+        .map(|_| {
             Simulator::new(cfg)
                 .expect("valid config")
-                .run_with(&trace, RunOptions::new().engine(kind).profile())
+                .run_with(&trace, RunOptions::new().profile())
                 .profile
                 .expect("profiling requested")
         })
@@ -270,6 +195,6 @@ fn profiler_conservation_holds_on_sharded() {
     assert_eq!(
         sharing_json::to_string(&profiles[0]),
         sharing_json::to_string(&profiles[1]),
-        "cycle attribution diverged between event and sharded"
+        "cycle attribution changed between identical runs"
     );
 }

@@ -1,7 +1,7 @@
 //! Timed cold and warm full-suite sweeps, for the perf trajectory.
 //!
 //! `scripts/bench_sweep.sh` wraps this and writes `BENCH_sweep.json`.
-//! Seven phases, the first six over the full 15-benchmark × 72-shape
+//! Six phases, the first five over the full 15-benchmark × 72-shape
 //! grid:
 //!
 //! 1. **regen baseline** — sequential, a fresh trace cache per point, so
@@ -10,15 +10,12 @@
 //! 3. **cold parallel** — one shared fresh trace cache, `--jobs` workers;
 //! 4. **warm parallel** — the same cache again, so every trace lookup
 //!    hits;
-//! 5. **legacy engine** — the warm cache again, polled (legacy) engine,
-//!    one worker — the engine A/B baseline;
-//! 6. **event engine** — same warm cache, event-driven engine, one
-//!    worker. Phases 5 and 6 must serialize byte-identically (the
-//!    engines' contract), and their ratio is the `event_driven`
-//!    speedup reported in the JSON;
-//! 7. **sharded VM** — the PARSEC benchmarks as 4-thread VMs, run
-//!    single-worker and then with the sharded engine's `--jobs` worker
-//!    shards (DESIGN.md §14). Both must serialize byte-identically —
+//! 5. **single worker** — the warm cache again, one worker: the
+//!    engine's own sequential throughput, reported as `event_driven`
+//!    in the JSON;
+//! 6. **sharded VM** — the PARSEC benchmarks as 4-thread VMs, run
+//!    single-worker and then with `--jobs` worker shards
+//!    (DESIGN.md §14). Both must serialize byte-identically —
 //!    the worker count is unobservable — and their wall-clock ratio is
 //!    the `sharded` intra-run speedup reported in the JSON (expect >1
 //!    only on multi-core machines).
@@ -26,7 +23,7 @@
 //! The sequential and parallel builds must serialize byte-identically
 //! (asserted here), which is the determinism contract of DESIGN.md §9.
 
-use sharing_core::{EngineKind, SimConfig, VCoreShape, VmSimulator};
+use sharing_core::{SimConfig, VCoreShape, VmSimulator};
 use sharing_json::{Json, ToJson};
 use sharing_market::{ExperimentSpec, SuiteSurfaces};
 use sharing_trace::{TraceCache, TraceSpec, ALL_BENCHMARKS, PARSEC_BENCHMARKS};
@@ -98,39 +95,16 @@ fn main() {
         "warm rebuild must reproduce the cold build"
     );
 
-    // Engine A/B on the warm cache: identical work, identical traces,
-    // only the engine differs — so the wall-clock ratio is the
-    // event-driven speedup, and the surfaces must match byte-for-byte.
+    // The engine alone on the warm cache: one worker, every trace
+    // lookup a hit, so the wall clock is simulation time.
     let t = Instant::now();
-    let legacy = SuiteSurfaces::build_subset_with_engine(
-        spec,
-        &ALL_BENCHMARKS,
-        &par_cache,
-        1,
-        EngineKind::Legacy,
-    );
-    let legacy_secs = t.elapsed().as_secs_f64();
-    eprintln!("[legacy engine:   {legacy_secs:.2}s]");
-
-    let t = Instant::now();
-    let event = SuiteSurfaces::build_subset_with_engine(
-        spec,
-        &ALL_BENCHMARKS,
-        &par_cache,
-        1,
-        EngineKind::EventDriven,
-    );
+    let event = SuiteSurfaces::build_subset_with(spec, &ALL_BENCHMARKS, &par_cache, 1);
     let event_secs = t.elapsed().as_secs_f64();
-    eprintln!("[event engine:    {event_secs:.2}s]");
-    assert_eq!(
-        sharing_json::to_string(&legacy),
-        sharing_json::to_string(&event),
-        "event-driven engine must serialize byte-identically to the legacy engine"
-    );
+    eprintln!("[single worker:   {event_secs:.2}s]");
     assert_eq!(
         sharing_json::to_string(&par),
         sharing_json::to_string(&event),
-        "default-engine sweep must match the explicit event-driven sweep"
+        "single-worker sweep must match the parallel sweep"
     );
 
     // Sharded VM A/B: the PARSEC set as 4-thread VMs over a shared L2,
@@ -147,7 +121,6 @@ fn main() {
     let run_vms = |workers: usize| {
         let vm = VmSimulator::new(vm_cfg)
             .expect("valid VM config")
-            .with_engine(EngineKind::Sharded)
             .with_threads(workers);
         let t = Instant::now();
         let mut results = Vec::new();
@@ -211,12 +184,6 @@ fn main() {
             Json::obj(vec![
                 ("sequential_secs", Json::Float(event_secs)),
                 ("cycles_per_sec", Json::Float(est_cycles / event_secs)),
-                ("legacy_sequential_secs", Json::Float(legacy_secs)),
-                (
-                    "legacy_cycles_per_sec",
-                    Json::Float(est_cycles / legacy_secs),
-                ),
-                ("speedup_vs_legacy", Json::Float(legacy_secs / event_secs)),
             ]),
         ),
         (

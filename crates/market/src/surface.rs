@@ -241,34 +241,11 @@ impl SuiteSurfaces {
         spec: &ExperimentSpec,
         cache: &TraceCache,
     ) -> f64 {
-        Self::measure_with_engine(
-            bench,
-            shape,
-            spec,
-            cache,
-            sharing_core::EngineKind::default(),
-        )
-    }
-
-    /// [`SuiteSurfaces::measure_with`] on an explicit engine
-    /// implementation. Both engines produce byte-identical results; the
-    /// benchmark harness uses this to time them against each other.
-    #[must_use]
-    pub fn measure_with_engine(
-        bench: Benchmark,
-        shape: VCoreShape,
-        spec: &ExperimentSpec,
-        cache: &TraceCache,
-        engine: sharing_core::EngineKind,
-    ) -> f64 {
         let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks)
             .expect("sweep grid shapes are valid");
         if bench.is_parsec() {
             let workload = cache.threaded(bench, &spec.trace_spec());
-            let r = VmSimulator::new(cfg)
-                .expect("valid config")
-                .with_engine(engine)
-                .run(&workload);
+            let r = VmSimulator::new(cfg).expect("valid config").run(&workload);
             // Per-VCore performance: VM IPC divided by thread count, so
             // PARSEC points are comparable to single-core P(c, s).
             r.ipc() / workload.thread_count() as f64
@@ -276,7 +253,7 @@ impl SuiteSurfaces {
             let trace = cache.single(bench, &spec.trace_spec());
             Simulator::new(cfg)
                 .expect("valid config")
-                .run_with(&trace, sharing_core::RunOptions::new().engine(engine))
+                .run_with(&trace, sharing_core::RunOptions::new())
                 .result
                 .ipc()
         }
@@ -306,19 +283,6 @@ impl SuiteSurfaces {
         cache: &TraceCache,
         jobs: usize,
     ) -> Self {
-        Self::build_subset_with_engine(spec, benches, cache, jobs, Default::default())
-    }
-
-    /// [`SuiteSurfaces::build_subset_with`] on an explicit engine
-    /// implementation (see [`SuiteSurfaces::measure_with_engine`]).
-    #[must_use]
-    pub fn build_subset_with_engine(
-        spec: ExperimentSpec,
-        benches: &[Benchmark],
-        cache: &TraceCache,
-        jobs: usize,
-        engine: sharing_core::EngineKind,
-    ) -> Self {
         let shapes: Vec<VCoreShape> = VCoreShape::sweep_grid().collect();
         let mut tasks: Vec<(Benchmark, VCoreShape)> = Vec::new();
         for &b in benches {
@@ -327,7 +291,7 @@ impl SuiteSurfaces {
             }
         }
         let perfs = par::map_indexed(jobs, &tasks, |_, &(b, s)| {
-            Self::measure_with_engine(b, s, &spec, cache, engine)
+            Self::measure_with(b, s, &spec, cache)
         });
         let mut surfaces: BTreeMap<Benchmark, BTreeMap<VCoreShape, f64>> = BTreeMap::new();
         for (&(b, s), &p) in tasks.iter().zip(&perfs) {

@@ -2,7 +2,7 @@
 
 use crate::mesh::{Coord, Link, Mesh};
 use sharing_json::json_struct;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The latency formula of a pipelined, switched network.
 ///
@@ -172,55 +172,24 @@ impl Transport for IdealNetwork {
     }
 }
 
-/// Reference link calendar: the exact cycle set as a `BTreeSet`, polled
-/// one cycle at a time. This is the original (pre-event-driven)
-/// representation, kept as the byte-identity oracle for
-/// [`BitmapCalendar`] — `QueuedNetwork::new_polled` selects it so
-/// differential tests can diff full runs against the event-driven door.
-#[derive(Clone, Debug, Default)]
-struct LinkCalendar {
-    busy: BTreeSet<u64>,
-}
-
-impl LinkCalendar {
-    /// Claims the first free cycle at or after `t`.
-    fn claim(&mut self, t: u64) -> u64 {
-        let mut c = t;
-        while self.busy.contains(&c) {
-            c += 1;
-        }
-        self.busy.insert(c);
-        if self.busy.len() > 4096 {
-            let cutoff = c.saturating_sub(2048);
-            self.busy = self.busy.split_off(&cutoff);
-        }
-        c
-    }
-
-    /// Whether cycle `t` is free on this link (for plane selection).
-    fn free_at(&self, t: u64) -> bool {
-        !self.busy.contains(&t)
-    }
-}
-
-/// Event-driven link calendar: the same cycle set as [`LinkCalendar`],
-/// held as a windowed bitmap (one bit per cycle, 64 cycles per word) so a
-/// claim is a word-scan for the first zero bit instead of a per-cycle
-/// `contains` poll, and so the hot path allocates nothing.
+/// A link's calendar of occupied cycles, held as a windowed bitmap (one
+/// bit per cycle, 64 cycles per word) so a claim is a word-scan for the
+/// first zero bit instead of a per-cycle poll, and so the hot path
+/// allocates nothing.
 ///
-/// Every observable behaviour is bit-identical to the reference:
 /// `claim(t)` returns the first clear cycle ≥ `t`, and once the set
 /// exceeds 4096 claimed cycles it forgets everything below
-/// `claim − 2048` (mirroring the reference's `split_off`), which makes
-/// those old cycles claimable again. Out-of-order claims below the
-/// window's base grow the window backward rather than approximating.
+/// `claim − 2048`, which makes those old cycles claimable again.
+/// Out-of-order claims below the window's base grow the window backward
+/// rather than approximating. The test module keeps the original
+/// `BTreeSet` calendar as the reference this must match bit for bit.
 #[derive(Clone, Debug, Default)]
 struct BitmapCalendar {
     /// Cycle number of bit 0 of `words[0]`.
     base: u64,
     /// Busy bits; bit `i` of `words[w]` covers cycle `base + 64w + i`.
     words: Vec<u64>,
-    /// Number of set bits (mirrors the reference set's `len()`).
+    /// Number of set bits.
     count: usize,
 }
 
@@ -258,7 +227,7 @@ impl BitmapCalendar {
     }
 
     /// Forgets all claimed cycles strictly below `cutoff` (they become
-    /// free again), exactly as the reference's `split_off(&cutoff)`.
+    /// free again).
     fn prune(&mut self, cutoff: u64) {
         if cutoff <= self.base {
             return;
@@ -287,16 +256,6 @@ impl BitmapCalendar {
     }
 }
 
-/// Per-plane link occupancy in one of the two representations.
-#[derive(Clone, Debug)]
-enum LinkClaims {
-    /// Reference: lazily-populated map of per-cycle sets, polled per cycle.
-    Polled(Vec<HashMap<Link, LinkCalendar>>),
-    /// Event-driven: flat `tiles × 4` array of bitmap calendars per plane,
-    /// indexed by (source tile, direction) — no hashing, no allocation.
-    Event(Vec<Vec<BitmapCalendar>>),
-}
-
 /// Flat slot of a directed link: source tile index × 4 + direction.
 fn link_slot(mesh: Mesh, link: Link) -> usize {
     let dir = if link.to.x > link.from.x {
@@ -317,26 +276,24 @@ fn link_slot(mesh: Mesh, link: Link) -> usize {
 /// Multiple planes model the paper's operand-network bandwidth ablation
 /// (§5.1 found a second network buys only ≈1% performance).
 ///
-/// Two internal representations exist, selected at construction and
-/// observably identical: [`QueuedNetwork::new`] uses event-driven bitmap
-/// calendars (DESIGN.md §13), while [`QueuedNetwork::new_polled`] keeps
-/// the original per-cycle-polled `BTreeSet` calendars as the oracle for
-/// differential tests.
+/// Link occupancy is one bitmap calendar per directed link and plane
+/// (DESIGN.md §13).
 #[derive(Clone, Debug)]
 pub struct QueuedNetwork {
     mesh: Mesh,
     latency: LatencyModel,
     planes: usize,
-    /// Per-plane, per-link cycle calendars. Messages are timestamped, not
+    /// Per-plane, per-link cycle calendars, indexed by [`link_slot`]
+    /// (no hashing, no allocation). Messages are timestamped, not
     /// processed in time order, so links track exact occupied cycles
     /// rather than a monotonic cursor.
-    links: LinkClaims,
+    links: Vec<Vec<BitmapCalendar>>,
     stats: NetStats,
 }
 
 impl QueuedNetwork {
     /// Creates a queued transport with the given number of physical
-    /// planes, using the event-driven link representation.
+    /// planes.
     ///
     /// # Panics
     ///
@@ -348,56 +305,19 @@ impl QueuedNetwork {
             mesh,
             latency,
             planes,
-            links: LinkClaims::Event(vec![
-                vec![BitmapCalendar::default(); mesh.tiles() * 4];
-                planes
-            ]),
+            links: vec![vec![BitmapCalendar::default(); mesh.tiles() * 4]; planes],
             stats: NetStats::default(),
         }
-    }
-
-    /// Creates a queued transport backed by the original per-cycle-polled
-    /// calendars. Slower; exists so the legacy engine mode and the
-    /// differential suite can pin the event-driven path byte-for-byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes == 0`.
-    #[must_use]
-    pub fn new_polled(mesh: Mesh, latency: LatencyModel, planes: usize) -> Self {
-        assert!(planes > 0, "at least one network plane required");
-        QueuedNetwork {
-            mesh,
-            latency,
-            planes,
-            links: LinkClaims::Polled(vec![HashMap::new(); planes]),
-            stats: NetStats::default(),
-        }
-    }
-
-    /// Whether this network uses the event-driven representation.
-    #[must_use]
-    pub fn is_event_driven(&self) -> bool {
-        matches!(self.links, LinkClaims::Event(_))
     }
 
     /// Claims the first free cycle ≥ `t` on `link` in `plane`.
     fn claim(&mut self, plane: usize, link: Link, t: u64) -> u64 {
-        match &mut self.links {
-            LinkClaims::Polled(cals) => cals[plane].entry(link).or_default().claim(t),
-            LinkClaims::Event(planes) => {
-                let slot = link_slot(self.mesh, link);
-                planes[plane][slot].claim(t)
-            }
-        }
+        self.links[plane][link_slot(self.mesh, link)].claim(t)
     }
 
     /// Whether `link` is free at cycle `t` in `plane` (plane selection).
     fn link_free_at(&self, plane: usize, link: Link, t: u64) -> bool {
-        match &self.links {
-            LinkClaims::Polled(cals) => cals[plane].get(&link).is_none_or(|c| c.free_at(t)),
-            LinkClaims::Event(planes) => planes[plane][link_slot(self.mesh, link)].free_at(t),
-        }
+        self.links[plane][link_slot(self.mesh, link)].free_at(t)
     }
 }
 
@@ -470,19 +390,8 @@ impl Transport for QueuedNetwork {
     }
 
     fn reset(&mut self) {
-        match &mut self.links {
-            LinkClaims::Polled(cals) => {
-                for plane in cals {
-                    plane.clear();
-                }
-            }
-            LinkClaims::Event(planes) => {
-                for plane in planes {
-                    for cal in plane {
-                        *cal = BitmapCalendar::default();
-                    }
-                }
-            }
+        for cal in self.links.iter_mut().flatten() {
+            *cal = BitmapCalendar::default();
         }
         self.stats = NetStats::default();
     }
@@ -646,6 +555,104 @@ mod tests {
         assert!(tree.stats().contention_cycles <= uni.stats().contention_cycles);
     }
 
+    /// The original link calendar, kept as the reference for
+    /// [`BitmapCalendar`]: the exact cycle set as a `BTreeSet`, polled
+    /// one cycle at a time.
+    #[derive(Clone, Debug, Default)]
+    struct LinkCalendar {
+        busy: std::collections::BTreeSet<u64>,
+    }
+
+    impl LinkCalendar {
+        fn claim(&mut self, t: u64) -> u64 {
+            let mut c = t;
+            while self.busy.contains(&c) {
+                c += 1;
+            }
+            self.busy.insert(c);
+            if self.busy.len() > 4096 {
+                let cutoff = c.saturating_sub(2048);
+                self.busy = self.busy.split_off(&cutoff);
+            }
+            c
+        }
+
+        fn free_at(&self, t: u64) -> bool {
+            !self.busy.contains(&t)
+        }
+    }
+
+    /// The original queued transport over [`LinkCalendar`]s in per-plane
+    /// maps keyed by link: the reference for [`QueuedNetwork`].
+    struct PolledNetwork {
+        latency: LatencyModel,
+        planes: Vec<HashMap<Link, LinkCalendar>>,
+        stats: NetStats,
+    }
+
+    impl PolledNetwork {
+        fn new(planes: usize) -> Self {
+            PolledNetwork {
+                latency: LatencyModel::tilera(),
+                planes: vec![HashMap::new(); planes],
+                stats: NetStats::default(),
+            }
+        }
+
+        /// Walks `links` from cycle `t` on `plane`, returning the arrival.
+        fn walk(&mut self, plane: usize, links: impl Iterator<Item = Link>, mut t: u64) -> u64 {
+            for link in links {
+                let depart = self.planes[plane].entry(link).or_default().claim(t);
+                self.stats.contention_cycles += depart - t;
+                t = depart + 1;
+            }
+            t
+        }
+
+        fn send(&mut self, src: Coord, dst: Coord, now: u64) -> u64 {
+            let hops = mesh().hops(src, dst);
+            self.stats.messages += 1;
+            self.stats.hops += u64::from(hops);
+            if hops == 0 {
+                return now + u64::from(self.latency.local);
+            }
+            let first = mesh().route_steps(src, dst).next().unwrap();
+            let plane = (0..self.planes.len())
+                .find(|&p| {
+                    self.planes[p]
+                        .get(&first)
+                        .is_none_or(|c| c.free_at(now + 1))
+                })
+                .unwrap_or(0);
+            let t = self.walk(plane, mesh().route_steps(src, dst), now + 1);
+            t.max(now + u64::from(self.latency.latency(hops)))
+        }
+
+        fn multicast(&mut self, src: Coord, dsts: &[Coord], now: u64) -> Vec<u64> {
+            let mut reached = HashMap::from([(src, now + 1)]);
+            let mut out = Vec::new();
+            for &dst in dsts {
+                let hops = mesh().hops(src, dst);
+                self.stats.messages += 1;
+                self.stats.hops += u64::from(hops);
+                if dst == src {
+                    out.push(now + u64::from(self.latency.local));
+                    continue;
+                }
+                let mut t = reached[&src];
+                for link in mesh().route_steps(src, dst) {
+                    t = match reached.get(&link.to) {
+                        Some(&at) => at,
+                        None => self.walk(0, std::iter::once(link), t),
+                    };
+                    reached.insert(link.to, t);
+                }
+                out.push(t.max(now + u64::from(self.latency.latency(hops))));
+            }
+            out
+        }
+    }
+
     /// Deterministic xorshift for the differential fuzzers.
     fn rng(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
@@ -677,14 +684,14 @@ mod tests {
     }
 
     #[test]
-    fn event_network_matches_polled_network() {
+    fn queued_network_matches_btreeset_reference() {
         // Full-transport differential: identical send/multicast sequences
-        // through both representations must produce identical arrivals
-        // and identical stats (contention cycles included).
+        // through the bitmap-calendar network and the reference must
+        // produce identical arrivals and identical stats (contention
+        // cycles included).
         for planes in [1, 2] {
             let mut event = QueuedNetwork::new(mesh(), LatencyModel::tilera(), planes);
-            let mut polled = QueuedNetwork::new_polled(mesh(), LatencyModel::tilera(), planes);
-            assert!(event.is_event_driven() && !polled.is_event_driven());
+            let mut polled = PolledNetwork::new(planes);
             let mut seed = 0xD1FF ^ planes as u64;
             let mut now = 0u64;
             for i in 0..20_000u64 {
@@ -707,7 +714,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(event.stats(), polled.stats());
+            assert_eq!(event.stats(), polled.stats);
         }
     }
 

@@ -13,7 +13,7 @@
 //! ```
 
 use sharing_arch::area::AreaModel;
-use sharing_arch::core::{run_phased_with, EngineKind, ReconfigCosts, SimConfig, VCoreShape};
+use sharing_arch::core::{run_phased_with, ReconfigCosts, SimConfig, VCoreShape};
 use sharing_arch::market::phases::run_study_with;
 use sharing_arch::trace::{gcc_phase_trace, TraceSpec};
 
@@ -75,16 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (gcc_phase_trace(p, &spec), cfg)
         })
         .collect();
-    let dynamic = run_phased_with(
-        &dynamic_schedule,
-        ReconfigCosts::paper(),
-        EngineKind::default(),
-    )?;
-    let fixed = run_phased_with(
-        &static_schedule,
-        ReconfigCosts::paper(),
-        EngineKind::default(),
-    )?;
+    let dynamic = run_phased_with(&dynamic_schedule, ReconfigCosts::paper())?;
+    let fixed = run_phased_with(&static_schedule, ReconfigCosts::paper())?;
 
     let avg_area = |shapes: &[VCoreShape]| -> f64 {
         shapes

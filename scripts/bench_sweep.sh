@@ -29,14 +29,13 @@ cat "$OUT"
 field() { grep -o "\"$1\": *[0-9.e+-]*" "$OUT" | head -n1 | sed 's/.*: *//'; }
 SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 STAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-printf '{"sha":"%s","utc":"%s","trace_len":%s,"jobs":%s,"cold_parallel_secs":%s,"cycles_per_sec_cold_parallel":%s,"cycles_per_sec_cold_sequential":%s,"event_cycles_per_sec":%s,"event_speedup_vs_legacy":%s,"sharded_vm_cycles_per_sec":%s,"sharded_speedup_vs_single_worker":%s}\n' \
+printf '{"sha":"%s","utc":"%s","trace_len":%s,"jobs":%s,"cold_parallel_secs":%s,"cycles_per_sec_cold_parallel":%s,"cycles_per_sec_cold_sequential":%s,"event_cycles_per_sec":%s,"sharded_vm_cycles_per_sec":%s,"sharded_speedup_vs_single_worker":%s}\n' \
   "$SHA" "$STAMP" \
   "$(field trace_len)" "$(field jobs)" \
   "$(field cold_parallel_secs)" \
   "$(field cycles_per_sec_cold_parallel)" \
   "$(field cycles_per_sec_cold_sequential)" \
   "$(field cycles_per_sec)" \
-  "$(field speedup_vs_legacy)" \
   "$(field vm_cycles_per_sec_sharded)" \
   "$(field speedup_vs_single_worker)" \
   >> "$HISTORY"

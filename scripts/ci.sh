@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --workspace --offline
+# The benchmark harness is a workspace of its own, so the build above
+# does not cover it; an API change that breaks it must fail here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test =="
 cargo test -q --workspace --offline
@@ -56,34 +59,25 @@ echo "== profile smoke: cycle attribution conserves and is byte-identical =="
 diff "$TRACE_TMP/prof_a.txt" "$TRACE_TMP/prof_b.txt"
 grep -q 'conserved true' "$TRACE_TMP/prof_a.txt"
 
-echo "== engine smoke: event-driven byte-identical to legacy =="
-"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine legacy > "$TRACE_TMP/run_legacy.json"
-"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine event > "$TRACE_TMP/run_event.json"
-diff "$TRACE_TMP/run_legacy.json" "$TRACE_TMP/run_event.json"
-
-echo "== sharded smoke: 4 worker shards byte-identical to the event engine =="
-# The sharded engine's worker count must be unobservable (DESIGN.md §14):
-# a single-trace run and a 4-thread PARSEC VM, both at --threads 4, must
-# match the event engine's bytes exactly.
-"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine sharded --threads 4 > "$TRACE_TMP/run_sharded.json"
-diff "$TRACE_TMP/run_event.json" "$TRACE_TMP/run_sharded.json"
-"$SSIM" run --benchmark dedup --len 2000 --seed 9 --json \
-  --engine event > "$TRACE_TMP/vm_event.json"
-"$SSIM" run --benchmark dedup --len 2000 --seed 9 --json \
-  --engine sharded --threads 4 > "$TRACE_TMP/vm_sharded.json"
-diff "$TRACE_TMP/vm_event.json" "$TRACE_TMP/vm_sharded.json"
+echo "== threads smoke: --threads 4 byte-identical to the default =="
+# The worker count must be unobservable (DESIGN.md §14): a single-trace
+# run and a 4-thread PARSEC VM at --threads 4 must match the default
+# run's bytes exactly.
+for bench in gcc dedup; do
+  "$SSIM" run --benchmark "$bench" --len 2000 --seed 9 --json \
+    > "$TRACE_TMP/run_${bench}_default.json"
+  "$SSIM" run --benchmark "$bench" --len 2000 --seed 9 --json --threads 4 \
+    > "$TRACE_TMP/run_${bench}_t4.json"
+  diff "$TRACE_TMP/run_${bench}_default.json" "$TRACE_TMP/run_${bench}_t4.json"
+done
 
 echo "== perf guard: sweep throughput must beat the 1.9M cycles/sec seed =="
 # A short-trace suite sweep (all 15 benchmarks x 72 shapes). The seed
 # repo measured 1.9M simulated cycles/sec on the standard sweep; the
-# event-driven engine must never regress below that floor. If the
-# single-worker sharded VM path also clears the seed floor — i.e. the
-# barrier/fork/replay machinery is not the bottleneck — hold the event
-# engine to the stricter 2.5M floor it has delivered since the sharded
-# engine landed.
+# engine must never regress below that floor. If the single-worker VM
+# path also clears the seed floor — i.e. the barrier/fork/replay
+# machinery is not the bottleneck — hold the engine to the stricter
+# 2.5M floor it has delivered since sharded VM runs landed.
 cargo run --release --offline -p sharing-market --example bench_sweep -- \
   --len 10000 --out "$TRACE_TMP/sweep_perf.json"
 CPS="$(grep -o '"cycles_per_sec": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \

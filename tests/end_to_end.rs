@@ -92,7 +92,7 @@ fn interpreter_agrees_with_itself_on_generated_traces() {
 
 #[test]
 fn reconfiguration_costs_show_up_in_phased_runs() {
-    use sharing_arch::core::{run_phased_with, EngineKind, ReconfigCosts};
+    use sharing_arch::core::{run_phased_with, ReconfigCosts};
     let t = Benchmark::Gcc.generate(&TraceSpec::new(6_000, 3));
     let phases = t.split_phases(3);
     let small = SimConfig::with_shape(1, 1).unwrap();
@@ -102,15 +102,13 @@ fn reconfiguration_costs_show_up_in_phased_runs() {
         (phases[1].clone(), big),
         (phases[2].clone(), small),
     ];
-    let with_cost =
-        run_phased_with(&alternating, ReconfigCosts::paper(), EngineKind::default()).unwrap();
+    let with_cost = run_phased_with(&alternating, ReconfigCosts::paper()).unwrap();
     let free = run_phased_with(
         &alternating,
         ReconfigCosts {
             slice_only: 0,
             cache_change: 0,
         },
-        EngineKind::default(),
     )
     .unwrap();
     assert_eq!(with_cost.cycles - free.cycles, 2 * 10_000);
