@@ -4,7 +4,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sharing_core::{RunOptions, SimConfig, Simulator, VmSimulator};
+use sharing_core::{RunOptions, SimConfig, Simulator, VCoreShape};
 use sharing_dc::{BillingMode, DcSim, Scenario};
 use sharing_obs::TraceBuffer;
 use sharing_trace::{
@@ -816,37 +816,17 @@ fn load_shaped_config(
 fn execute_profile(args: &ProfileArgs) -> Result<String, CliError> {
     let cfg = load_shaped_config(args.config_path.as_deref(), args.slices, args.banks)?;
     let spec = TraceSpec::new(args.len, args.seed);
-    let traces = TraceCache::global();
-    let trace = match &args.workload {
-        Workload::Benchmark(b) => {
-            if b.is_parsec() {
-                return Err(CliError::ConflictingFlags(format!(
-                    "`ssim profile` attributes cycles on one VCore; `{}` is a threaded PARSEC \
-                     benchmark — pick a single-thread one (see `ssim list`)",
-                    b.name()
-                )));
-            }
-            traces.single(*b, &spec)
-        }
-        Workload::Extra(name) => {
-            let profile =
-                extra_profile(name).ok_or_else(|| CliError::UnknownBenchmark(name.clone()))?;
-            if profile.threads > 1 {
-                return Err(CliError::ConflictingFlags(format!(
-                    "`ssim profile` attributes cycles on one VCore; extra profile `{name}` is \
-                     threaded — pick a single-thread workload (see `ssim list`)"
-                )));
-            }
-            traces
-                .profile_single(&profile, &spec)
-                .map_err(CliError::BadProfile)?
-        }
-        other => {
-            return Err(CliError::ConflictingFlags(format!(
-                "`ssim profile` takes --benchmark only (got {other:?})"
-            )));
-        }
-    };
+    let workload = trace_workload(&args.workload)?;
+    if workload.is_threaded() {
+        return Err(CliError::ConflictingFlags(format!(
+            "`ssim profile` attributes cycles on one VCore; `{}` is threaded — pick a \
+             single-thread workload (see `ssim list`)",
+            workload.name()
+        )));
+    }
+    let trace = TraceCache::global()
+        .single(&workload, &spec)
+        .map_err(CliError::BadProfile)?;
     let sim = Simulator::new(cfg).expect("validated config");
     let out = sim.run_with(&trace, RunOptions::new().profile());
     let (result, profile) = (out.result, out.profile.expect("profiling requested"));
@@ -880,43 +860,29 @@ fn execute_trace_pack(args: &TracePackArgs) -> Result<String, CliError> {
     ))
 }
 
-fn run_one(
-    bench: Benchmark,
-    cfg: SimConfig,
-    len: usize,
-    seed: u64,
-    obs: Option<&TraceBuffer>,
-    threads: usize,
-) -> sharing_core::SimResult {
-    let spec = TraceSpec::new(len, seed);
-    let traces = TraceCache::global();
-    if bench.is_parsec() {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            traces.threaded(bench, &spec)
-        };
-        let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        VmSimulator::new(cfg)
-            .expect("validated config")
-            .with_threads(threads)
-            .run(&trace)
-    } else {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            traces.single(bench, &spec)
-        };
-        let sim = Simulator::new(cfg).expect("validated config");
-        let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        let mut opts = RunOptions::new();
-        if let Some(o) = obs {
-            // The traced path also emits a logical-cycle span, so the
-            // trace shows both wall time and simulated time.
-            opts = opts.trace_to(o);
+/// Resolves a `--benchmark` name or `--profile` file to the simulator's
+/// [`sharing_trace::Workload`]. An assembly file is a raw trace with no
+/// workload profile behind it.
+fn trace_workload(workload: &Workload) -> Result<sharing_trace::Workload, CliError> {
+    match workload {
+        Workload::Benchmark(b) => Ok(sharing_trace::Workload::Benchmark(*b)),
+        Workload::Extra(name) => sharing_trace::Workload::from_name(name)
+            .ok_or_else(|| CliError::UnknownBenchmark(name.clone())),
+        Workload::ProfileFile(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
+            let profile: WorkloadProfile = sharing_json::from_str(&text)
+                .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
+            Ok(sharing_trace::Workload::Profile(Box::new(profile)))
         }
-        sim.run_with(&trace, opts).result
+        Workload::AsmFile(path) => Err(CliError::ConflictingFlags(format!(
+            "{path}: an assembly file is a raw trace, not a workload profile"
+        ))),
     }
 }
 
+/// Simulates a `run` workload: every workload but an assembly file goes
+/// through [`sharing_core::run_workload`] and the shared trace cache.
 fn run_workload(
     workload: &Workload,
     cfg: SimConfig,
@@ -925,94 +891,58 @@ fn run_workload(
     obs: Option<&TraceBuffer>,
     threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
-    match workload {
-        Workload::Benchmark(b) => Ok(run_one(*b, cfg, len, seed, obs, threads)),
-        Workload::AsmFile(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
-            let block = sharing_isa::asm::assemble(&text, 0x1_0000)
-                .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
-            let mut block = block;
-            if block.is_empty() {
-                return Err(CliError::BadAsm(format!("{path}: empty program")));
-            }
-            // The block repeats as one loop iteration: if it does not
-            // already end with taken control flow, close the loop with a
-            // jump back to the top so the committed path stays connected.
-            let last = block.last().expect("non-empty");
-            if last.next_pc() != block[0].pc && last.next_pc() == last.pc + 4 {
-                block.push(sharing_isa::DynInst::jump(last.pc + 4, block[0].pc));
-            }
-            let mut insts = Vec::with_capacity(len);
-            while insts.len() < len {
-                insts.extend(block.iter().copied());
-            }
-            insts.truncate(len);
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| "asm".to_string(), |s| s.to_string_lossy().into_owned());
-            let trace = sharing_trace::Trace::from_insts(name, insts);
-            let sim = Simulator::new(cfg).expect("validated config");
-            let _g = obs.map(|o| o.span(format!("simulate {}", trace.name()), "ssim", 0));
-            let mut opts = RunOptions::new();
-            if let Some(o) = obs {
-                opts = opts.trace_to(o);
-            }
-            Ok(sim.run_with(&trace, opts).result)
-        }
-        Workload::ProfileFile(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
-            let profile: WorkloadProfile = sharing_json::from_str(&text)
-                .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
-            run_profile(&profile, cfg, len, seed, obs, threads)
-        }
-        Workload::Extra(name) => {
-            let profile =
-                extra_profile(name).ok_or_else(|| CliError::UnknownBenchmark(name.clone()))?;
-            run_profile(&profile, cfg, len, seed, obs, threads)
-        }
+    if let Workload::AsmFile(path) = workload {
+        return run_asm(path, cfg, len, obs);
     }
+    sharing_core::run_workload(
+        &trace_workload(workload)?,
+        cfg,
+        &TraceSpec::new(len, seed),
+        TraceCache::global(),
+        threads,
+        obs,
+    )
+    .map_err(CliError::BadProfile)
 }
 
-/// Simulates one [`WorkloadProfile`] (from a `--profile` file or an
-/// extra built-in), threading through the shared trace cache.
-fn run_profile(
-    profile: &WorkloadProfile,
+/// Simulates a hand-written assembly file on one VCore, repeated until
+/// the requested trace length.
+fn run_asm(
+    path: &str,
     cfg: SimConfig,
     len: usize,
-    seed: u64,
     obs: Option<&TraceBuffer>,
-    threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
-    let spec = TraceSpec::new(len, seed);
-    if profile.threads > 1 {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            TraceCache::global()
-                .profile_threaded(profile, &spec)
-                .map_err(CliError::BadProfile)?
-        };
-        let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        Ok(VmSimulator::new(cfg)
-            .expect("validated config")
-            .with_threads(threads)
-            .run(&trace))
-    } else {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            TraceCache::global()
-                .profile_single(profile, &spec)
-                .map_err(CliError::BadProfile)?
-        };
-        let sim = Simulator::new(cfg).expect("validated config");
-        let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        let mut opts = RunOptions::new();
-        if let Some(o) = obs {
-            opts = opts.trace_to(o);
-        }
-        Ok(sim.run_with(&trace, opts).result)
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
+    let mut block = sharing_isa::asm::assemble(&text, 0x1_0000)
+        .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
+    if block.is_empty() {
+        return Err(CliError::BadAsm(format!("{path}: empty program")));
     }
+    // The block repeats as one loop iteration: if it does not
+    // already end with taken control flow, close the loop with a
+    // jump back to the top so the committed path stays connected.
+    let last = block.last().expect("non-empty");
+    if last.next_pc() != block[0].pc && last.next_pc() == last.pc + 4 {
+        block.push(sharing_isa::DynInst::jump(last.pc + 4, block[0].pc));
+    }
+    let mut insts = Vec::with_capacity(len);
+    while insts.len() < len {
+        insts.extend(block.iter().copied());
+    }
+    insts.truncate(len);
+    let name = std::path::Path::new(path)
+        .file_stem()
+        .map_or_else(|| "asm".to_string(), |s| s.to_string_lossy().into_owned());
+    let trace = sharing_trace::Trace::from_insts(name, insts);
+    let sim = Simulator::new(cfg).expect("validated config");
+    let _g = obs.map(|o| o.span(format!("simulate {}", trace.name()), "ssim", 0));
+    let mut opts = RunOptions::new();
+    if let Some(o) = obs {
+        opts = opts.trace_to(o);
+    }
+    Ok(sim.run_with(&trace, opts).result)
 }
 
 /// IPC per `(slices, banks)` grid point, as collected from a daemon sweep.
@@ -1102,6 +1032,38 @@ fn load_scenario(path: &str) -> Result<Scenario, CliError> {
     Ok(scenario)
 }
 
+/// The job a `run` or `dc` submit action sends, shared by the TCP and
+/// HTTP paths.
+fn submit_job(action: &SubmitAction) -> Result<sharing_server::Job, CliError> {
+    match action {
+        SubmitAction::Run {
+            benchmark,
+            slices,
+            banks,
+            len,
+            seed,
+        } => Ok(sharing_server::Job::Run(sharing_server::RunJob {
+            workload: sharing_server::JobWorkload::Benchmark(*benchmark),
+            slices: *slices,
+            banks: *banks,
+            len: *len,
+            seed: *seed,
+        })),
+        SubmitAction::Dc {
+            scenario_path,
+            seed,
+            mode,
+        } => Ok(sharing_server::Job::Dc(Box::new(sharing_server::DcJob {
+            scenario: load_scenario(scenario_path)?,
+            seed: *seed,
+            mode: *mode,
+        }))),
+        control => Err(CliError::ConflictingFlags(format!(
+            "{control:?} is a control request, not a job"
+        ))),
+    }
+}
+
 /// Runs `ssim submit --url ...`: the same actions as the TCP path, but
 /// over the daemon's HTTP front door. Jobs go through `POST /jobs` and
 /// a poll loop; the final reply lines come from `GET /jobs/<id>/raw`,
@@ -1148,28 +1110,7 @@ fn http_submit(url: &str, args: &SubmitArgs) -> Result<String, CliError> {
                 "--hello and --shutdown are TCP-only; use --addr".to_string(),
             ));
         }
-        SubmitAction::Run {
-            benchmark,
-            slices,
-            banks,
-            len,
-            seed,
-        } => sharing_server::Job::Run(sharing_server::RunJob {
-            workload: sharing_server::JobWorkload::Benchmark(*benchmark),
-            slices: *slices,
-            banks: *banks,
-            len: *len,
-            seed: *seed,
-        }),
-        SubmitAction::Dc {
-            scenario_path,
-            seed,
-            mode,
-        } => sharing_server::Job::Dc(Box::new(sharing_server::DcJob {
-            scenario: load_scenario(scenario_path)?,
-            seed: *seed,
-            mode: *mode,
-        })),
+        SubmitAction::Run { .. } | SubmitAction::Dc { .. } => submit_job(&args.action)?,
     };
     let env = sharing_server::Envelope {
         id: None,
@@ -1875,38 +1816,8 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 SubmitAction::Shutdown => client
                     .shutdown()
                     .map_err(|e| CliError::Server(e.to_string()))?,
-                SubmitAction::Run {
-                    benchmark,
-                    slices,
-                    banks,
-                    len,
-                    seed,
-                } => submit_final(
-                    &mut client,
-                    sharing_server::Job::Run(sharing_server::RunJob {
-                        workload: sharing_server::JobWorkload::Benchmark(*benchmark),
-                        slices: *slices,
-                        banks: *banks,
-                        len: *len,
-                        seed: *seed,
-                    }),
-                    args.trace,
-                )?,
-                SubmitAction::Dc {
-                    scenario_path,
-                    seed,
-                    mode,
-                } => {
-                    let scenario = load_scenario(scenario_path)?;
-                    submit_final(
-                        &mut client,
-                        sharing_server::Job::Dc(Box::new(sharing_server::DcJob {
-                            scenario,
-                            seed: *seed,
-                            mode: *mode,
-                        })),
-                        args.trace,
-                    )?
+                SubmitAction::Run { .. } | SubmitAction::Dc { .. } => {
+                    submit_final(&mut client, submit_job(&args.action)?, args.trace)?
                 }
             };
             if reply.get("ok").and_then(|v| v.as_bool()) == Some(false) {
@@ -1934,14 +1845,13 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 }
                 None => None,
             };
-            let banks = [0usize, 1, 2, 4, 8, 16, 32, 64, 128];
-            let grid: Vec<(usize, usize)> = (1..=8)
-                .flat_map(|s| banks.iter().map(move |&b| (s, b)))
-                .collect();
+            let grid: Vec<VCoreShape> = VCoreShape::sweep_grid().collect();
+            let cols = grid.iter().filter(|shape| shape.slices == 1).count();
             let ipcs: Vec<f64> = match &remote {
                 Some(points) => grid
                     .iter()
-                    .map(|&(s, b)| {
+                    .map(|shape| {
+                        let (s, b) = (shape.slices, shape.l2_banks);
                         points.0.get(&(s, b)).copied().ok_or_else(|| {
                             CliError::Server(format!("daemon sweep missing shape {s}s/{b}b"))
                         })
@@ -1949,14 +1859,16 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                     .collect::<Result<_, _>>()?,
                 None => {
                     let jobs = sharing_core::par::resolve_jobs(args.jobs);
-                    sharing_core::par::map_indexed(jobs, &grid, |_, &(s, b)| {
+                    let workload = Workload::Benchmark(args.benchmark);
+                    sharing_core::par::map_indexed(jobs, &grid, |_, shape| {
+                        let (s, b) = (shape.slices, shape.l2_banks);
                         let cfg = SimConfig::with_shape(s, b)
                             .map_err(|e| CliError::BadSimConfig(e.to_string()))?;
                         let t0 = std::time::Instant::now();
                         let mut guard = obs
                             .as_ref()
                             .map(|o| o.span(format!("point {s}s/{b}b"), "sweep", 0));
-                        let r = run_one(args.benchmark, cfg, args.len, args.seed, None, 1);
+                        let r = run_workload(&workload, cfg, args.len, args.seed, None, 1)?;
                         if let Some(g) = guard.as_mut() {
                             use sharing_json::Json;
                             let dt = t0.elapsed().as_secs_f64().max(1e-9);
@@ -1977,24 +1889,29 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 args.benchmark, args.len, args.seed
             );
             out.push_str("slices\\banks");
-            for b in banks {
-                out.push_str(&format!("{:>7}", b * 64));
+            for shape in &grid[..cols] {
+                out.push_str(&format!("{:>7}", shape.l2_kb()));
             }
             out.push('\n');
-            for (i, ipc) in ipcs.iter().enumerate() {
-                if i % banks.len() == 0 {
-                    out.push_str(&format!("{:>12}", grid[i].0));
+            for (shapes, row) in grid.chunks(cols).zip(ipcs.chunks(cols)) {
+                out.push_str(&format!("{:>12}", shapes[0].slices));
+                for ipc in row {
+                    out.push_str(&format!("{ipc:>7.3}"));
                 }
-                out.push_str(&format!("{ipc:>7.3}"));
-                if (i + 1) % banks.len() == 0 {
-                    out.push('\n');
-                }
+                out.push('\n');
             }
             out.push_str("\n(columns are L2 KB: 0, 64, 128, 256, 512, 1024, 2048, 4096, 8192)\n");
             if let Some(path) = &args.csv_out {
                 let mut csv = String::from("benchmark,slices,l2_banks,l2_kb,ipc\n");
-                for (&(s, b), ipc) in grid.iter().zip(&ipcs) {
-                    let _ = writeln!(csv, "{},{s},{b},{},{ipc:.6}", args.benchmark, b * 64);
+                for (shape, ipc) in grid.iter().zip(&ipcs) {
+                    let _ = writeln!(
+                        csv,
+                        "{},{},{},{},{ipc:.6}",
+                        args.benchmark,
+                        shape.slices,
+                        shape.l2_banks,
+                        shape.l2_kb()
+                    );
                 }
                 std::fs::write(path, csv).map_err(|e| CliError::CsvOut(format!("{path}: {e}")))?;
                 let _ = writeln!(out, "wrote csv {path} ({} points)", grid.len());
@@ -2916,6 +2833,59 @@ mod profile_tests {
         assert_eq!(v.get("instructions").and_then(|x| x.as_int()), Some(600));
         assert_eq!(v.get("workload").and_then(|x| x.as_str()), Some("custom"));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn threaded_profile_runs_alike_in_cli_and_daemon() {
+        use sharing_server::{Job, JobWorkload, RunJob};
+        let mut profile = sharing_trace::bursty_profile();
+        profile.threads = 2;
+        let path = std::env::temp_dir().join(format!(
+            "ssim-test-threaded-profile-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, sharing_json::to_string(&profile)).unwrap();
+        let cmd = parse(&s(&[
+            "run",
+            "--profile",
+            path.to_str().unwrap(),
+            "--slices",
+            "2",
+            "--banks",
+            "4",
+            "--len",
+            "600",
+            "--seed",
+            "3",
+            "--json",
+        ]))
+        .unwrap();
+        let local = sharing_json::Json::parse(&execute(&cmd).unwrap()).unwrap();
+        let _ = std::fs::remove_file(path);
+        // Both threads ran: a VM sums its VCores' instructions.
+        assert_eq!(
+            local.get("instructions").and_then(|x| x.as_int()),
+            Some(1200)
+        );
+
+        let handle = sharing_server::Server::start(sharing_server::ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..sharing_server::ServerConfig::default()
+        })
+        .unwrap();
+        let mut client = sharing_server::Client::connect(handle.local_addr()).unwrap();
+        let reply = client
+            .submit(Job::Run(RunJob {
+                workload: JobWorkload::Profile(Box::new(profile)),
+                slices: 2,
+                banks: 4,
+                len: 600,
+                seed: 3,
+            }))
+            .unwrap();
+        handle.stop();
+        assert_eq!(reply.get("result"), Some(&local), "{reply}");
     }
 
     #[test]

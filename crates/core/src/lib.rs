@@ -10,6 +10,8 @@
 //! * [`Simulator`] — run one trace on one VCore via
 //!   [`Simulator::run_with`] and [`RunOptions`];
 //! * [`VmSimulator`] — multi-VCore VMs sharing a coherent L2 (PARSEC);
+//! * [`run_workload`] — the one runner that picks between the two for a
+//!   [`sharing_trace::Workload`] (§5.3);
 //! * [`run_phased_with`] — dynamic reconfiguration across program phases
 //!   with the paper's 500/10 000-cycle costs (§5.10);
 //! * [`engine`] — the underlying timing model, exposed for composition;
@@ -46,6 +48,7 @@ pub mod predictor;
 pub mod profile;
 pub mod reconfig;
 pub mod reconfigurable;
+pub mod run;
 pub mod sim;
 pub mod stats;
 pub mod structures;
@@ -61,6 +64,7 @@ pub use multi::VmSimulator;
 pub use profile::{CycleProfile, SliceCycles};
 pub use reconfig::ReconfigCosts;
 pub use reconfigurable::ReconfigurableVCore;
+pub use run::run_workload;
 pub use sim::{run_phased_with, RunOptions, RunOutput, Simulator};
 pub use stats::{MemCounters, SimResult, SliceStats, StallBreakdown};
 pub use structures::{Distribution, Structure};

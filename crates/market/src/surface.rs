@@ -6,9 +6,9 @@
 //! (Equation 3: 1–8 Slices × 0 KB–8 MB), in parallel, with optional JSON
 //! caching so the bench harness only ever pays for a sweep once.
 
-use sharing_core::{par, SimConfig, Simulator, VCoreShape, VmSimulator};
+use sharing_core::{par, run_workload, SimConfig, VCoreShape};
 use sharing_json::{json_struct, FromJson, Json, JsonError, ToJson};
-use sharing_trace::{Benchmark, TraceCache, TraceSpec, ALL_BENCHMARKS};
+use sharing_trace::{Benchmark, TraceCache, TraceSpec, Workload, ALL_BENCHMARKS};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -222,10 +222,11 @@ impl SuiteSurfaces {
         SuiteSurfaces { spec, surfaces }
     }
 
-    /// Measures one benchmark at one shape (single-threaded benchmarks on
-    /// a [`Simulator`], PARSEC on a [`VmSimulator`] with four VCores and a
-    /// shared L2, per §5.3), sharing the process-wide [`TraceCache`] so
-    /// all 72 shapes of a sweep reuse one generated trace.
+    /// Measures one benchmark at one shape through
+    /// [`sharing_core::run_workload`] (single-threaded benchmarks on one
+    /// VCore, PARSEC as a four-VCore VM over a shared L2, per §5.3),
+    /// sharing the process-wide [`TraceCache`] so all 72 shapes of a
+    /// sweep reuse one generated trace.
     #[must_use]
     pub fn measure(bench: Benchmark, shape: VCoreShape, spec: &ExperimentSpec) -> f64 {
         Self::measure_with(bench, shape, spec, TraceCache::global())
@@ -243,19 +244,15 @@ impl SuiteSurfaces {
     ) -> f64 {
         let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks)
             .expect("sweep grid shapes are valid");
-        if bench.is_parsec() {
-            let workload = cache.threaded(bench, &spec.trace_spec());
-            let r = VmSimulator::new(cfg).expect("valid config").run(&workload);
+        let workload = Workload::Benchmark(bench);
+        let r = run_workload(&workload, cfg, &spec.trace_spec(), cache, 1, None)
+            .expect("calibrated benchmarks generate");
+        if workload.is_threaded() {
             // Per-VCore performance: VM IPC divided by thread count, so
             // PARSEC points are comparable to single-core P(c, s).
-            r.ipc() / workload.thread_count() as f64
+            r.ipc() / bench.profile().threads as f64
         } else {
-            let trace = cache.single(bench, &spec.trace_spec());
-            Simulator::new(cfg)
-                .expect("valid config")
-                .run_with(&trace, sharing_core::RunOptions::new())
-                .result
-                .ipc()
+            r.ipc()
         }
     }
 

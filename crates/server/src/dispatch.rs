@@ -258,16 +258,12 @@ impl WorkerPool {
         trace_id: Option<u64>,
         trace: &TraceBuffer,
     ) -> Result<String, ServerError> {
-        let expect = match job {
-            Job::Run(_) => "result",
-            Job::Dc(_) => "dc_result",
-            Job::Sweep(_) | Job::Market(_) => {
-                // Grid jobs fan out point-by-point; see `dispatch_grid`.
-                return Err(ServerError::new(
-                    ErrorCode::ExecFailed,
-                    "grid jobs dispatch via dispatch_grid",
-                ));
-            }
+        let Some(expect) = job.result_type() else {
+            // Grid jobs fan out point-by-point; see `dispatch_grid`.
+            return Err(ServerError::new(
+                ErrorCode::ExecFailed,
+                "grid jobs dispatch via dispatch_grid",
+            ));
         };
         let env = job_envelope(job, trace_id);
         let mut last: Option<ServerError> = None;

@@ -3,16 +3,14 @@
 //! Everything here is deterministic — same job, same bytes out — which is
 //! the contract the result cache relies on.
 
-use crate::cache::ResultCache;
-use crate::metrics::Metrics;
-use crate::protocol::{DcJob, JobWorkload, RunJob};
-use sharing_core::{RunOptions, SimConfig, SimResult, Simulator, VmSimulator};
+use crate::protocol::{DcJob, RunJob};
+use sharing_core::{run_workload, SimConfig, SimResult};
 use sharing_dc::DcSim;
 use sharing_json::{Json, ToJson};
 use sharing_trace::{TraceCache, TraceSpec};
-use std::sync::atomic::Ordering;
 
-/// Runs one job on a fresh simulator.
+/// Runs one job on a fresh simulator through
+/// [`sharing_core::run_workload`].
 ///
 /// Traces come from the process-wide [`TraceCache`]: a daemon serving
 /// repeated jobs for the same `(workload, len, seed)` generates the trace
@@ -25,56 +23,7 @@ use std::sync::atomic::Ordering;
 pub fn simulate(job: &RunJob) -> Result<SimResult, String> {
     let cfg = SimConfig::with_shape(job.slices, job.banks).map_err(|e| e.to_string())?;
     let spec = TraceSpec::new(job.len, job.seed);
-    let traces = TraceCache::global();
-    match &job.workload {
-        JobWorkload::Benchmark(b) => {
-            if b.is_parsec() {
-                Ok(VmSimulator::new(cfg)
-                    .expect("validated config")
-                    .run(&traces.threaded(*b, &spec)))
-            } else {
-                Ok(Simulator::new(cfg)
-                    .expect("validated config")
-                    .run_with(&traces.single(*b, &spec), RunOptions::new())
-                    .result)
-            }
-        }
-        JobWorkload::Profile(p) => {
-            if p.threads > 1 {
-                let trace = traces.profile_threaded(p, &spec)?;
-                Ok(VmSimulator::new(cfg).expect("validated config").run(&trace))
-            } else {
-                let trace = traces.profile_single(p, &spec)?;
-                Ok(Simulator::new(cfg)
-                    .expect("validated config")
-                    .run_with(&trace, RunOptions::new())
-                    .result)
-            }
-        }
-    }
-}
-
-/// Runs a job through the result cache: on a hit, the stored payload is
-/// returned verbatim (byte-identical to the fresh run that produced it).
-/// Returns `(payload_json, was_cached)`.
-///
-/// # Errors
-///
-/// Propagates [`simulate`]'s message. Failures are not cached.
-pub fn run_cached(
-    cache: &ResultCache,
-    metrics: &Metrics,
-    job: &RunJob,
-) -> Result<(String, bool), String> {
-    let key = job.cache_key();
-    if let Some(hit) = cache.get(&key) {
-        metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok((hit, true));
-    }
-    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let payload = sharing_json::to_string(&simulate(job)?);
-    cache.insert(&key, &payload);
-    Ok((payload, false))
+    run_workload(&job.workload, cfg, &spec, TraceCache::global(), 1, None)
 }
 
 /// Runs a datacenter-scenario job and serializes its totals: one
@@ -104,32 +53,10 @@ pub fn run_dc(job: &DcJob) -> Result<String, String> {
     Ok(Json::obj(pairs).to_string())
 }
 
-/// [`run_dc`] through the result cache, mirroring [`run_cached`]:
-/// hits replay the stored payload verbatim. Returns
-/// `(payload_json, was_cached)`.
-///
-/// # Errors
-///
-/// Propagates [`run_dc`]'s message. Failures are not cached.
-pub fn run_dc_cached(
-    cache: &ResultCache,
-    metrics: &Metrics,
-    job: &DcJob,
-) -> Result<(String, bool), String> {
-    let key = job.cache_key();
-    if let Some(hit) = cache.get(&key) {
-        metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok((hit, true));
-    }
-    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let payload = run_dc(job)?;
-    cache.insert(&key, &payload);
-    Ok((payload, false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobWorkload;
     use sharing_trace::Benchmark;
 
     fn job(len: usize, seed: u64) -> RunJob {
@@ -158,19 +85,6 @@ mod tests {
         assert!(simulate(&j).is_err());
     }
 
-    #[test]
-    fn cached_payload_is_byte_identical_to_fresh() {
-        let cache = ResultCache::new(16);
-        let metrics = Metrics::new(1);
-        let (fresh, was_cached) = run_cached(&cache, &metrics, &job(500, 9)).unwrap();
-        assert!(!was_cached);
-        let (hit, was_cached) = run_cached(&cache, &metrics, &job(500, 9)).unwrap();
-        assert!(was_cached);
-        assert_eq!(fresh, hit, "cache replay must be byte-identical");
-        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 1);
-    }
-
     fn dc_job(mode: Option<sharing_dc::BillingMode>) -> DcJob {
         let mut sc = sharing_dc::Scenario::example_bursty();
         sc.chips = 2;
@@ -184,35 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn dc_payload_is_deterministic_and_cached() {
-        let cache = ResultCache::new(8);
-        let metrics = Metrics::new(1);
-        let job = dc_job(None);
-        let (fresh, c0) = run_dc_cached(&cache, &metrics, &job).unwrap();
-        assert!(!c0);
-        let (hit, c1) = run_dc_cached(&cache, &metrics, &job).unwrap();
-        assert!(c1);
-        assert_eq!(fresh, hit, "cache replay must be byte-identical");
-        let v = Json::parse(&fresh).unwrap();
-        assert!(v.get("sharing").is_some(), "comparison carries sharing");
-        assert!(v.get("fixed").is_some(), "comparison carries fixed");
-    }
-
-    #[test]
     fn dc_single_mode_reports_only_that_mode() {
         let payload = run_dc(&dc_job(Some(sharing_dc::BillingMode::Sharing))).unwrap();
         let v = Json::parse(&payload).unwrap();
         assert!(v.get("sharing").is_some());
         assert!(v.get("fixed").is_none());
-    }
-
-    #[test]
-    fn different_jobs_do_not_alias() {
-        let cache = ResultCache::new(16);
-        let metrics = Metrics::new(1);
-        let (a, _) = run_cached(&cache, &metrics, &job(500, 1)).unwrap();
-        let (b, _) = run_cached(&cache, &metrics, &job(500, 2)).unwrap();
-        assert_ne!(a, b, "different seeds are different cache entries");
-        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 2);
     }
 }

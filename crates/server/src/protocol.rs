@@ -58,14 +58,9 @@ pub const MIN_PROTO: u64 = 1;
 /// connection against hostile input.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// What a `run` job simulates.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JobWorkload {
-    /// One of the calibrated paper benchmarks.
-    Benchmark(Benchmark),
-    /// An inline workload profile.
-    Profile(Box<WorkloadProfile>),
-}
+/// What a `run` job simulates: the simulator's own workload type, under
+/// the name the wire types have always used.
+pub use sharing_trace::Workload as JobWorkload;
 
 /// A single-configuration simulation job.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,6 +168,18 @@ impl Job {
                 ]),
             )])
             .to_string(),
+        }
+    }
+
+    /// The reply type of a single-reply job's result line (`result` or
+    /// `dc_result`); `None` for grid jobs, which stream one line per
+    /// point.
+    #[must_use]
+    pub fn result_type(&self) -> Option<&'static str> {
+        match self {
+            Job::Run(_) => Some("result"),
+            Job::Dc(_) => Some("dc_result"),
+            Job::Sweep(_) | Job::Market(_) => None,
         }
     }
 
@@ -409,13 +416,7 @@ fn parse_run_workload(v: &Json) -> Result<JobWorkload, JsonError> {
     let name = field(v, "benchmark")?
         .as_str()
         .ok_or_else(|| JsonError("`benchmark` must be a string".into()))?;
-    if let Some(b) = Benchmark::from_name(name) {
-        return Ok(JobWorkload::Benchmark(b));
-    }
-    if let Some(p) = sharing_trace::extra_profile(name) {
-        return Ok(JobWorkload::Profile(Box::new(p)));
-    }
-    Err(JsonError(format!("unknown benchmark `{name}`")))
+    JobWorkload::from_name(name).ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))
 }
 
 fn parse_utility(name: &str) -> Result<UtilityFn, JsonError> {

@@ -35,7 +35,7 @@ use crate::http;
 use crate::jobs::JobsTable;
 use crate::metrics::{JobClass, Metrics};
 use crate::protocol::{
-    self, DcJob, Envelope, ErrorCode, Job, JobWorkload, Request, RunJob, ServerError, MIN_PROTO,
+    self, Envelope, ErrorCode, Job, JobWorkload, Request, RunJob, ServerError, MIN_PROTO,
     PROTO_VERSION,
 };
 use crate::queue::{JobQueue, PushError};
@@ -145,6 +145,24 @@ pub(crate) struct State {
     pub(crate) pool: Option<Arc<WorkerPool>>,
 }
 
+impl State {
+    fn new(cfg: &ServerConfig, metrics: Arc<Metrics>, pool: Option<Arc<WorkerPool>>) -> State {
+        State {
+            queue: JobQueue::new(cfg.queue_capacity),
+            cache: ResultCache::new(cfg.cache_capacity),
+            cache_path: cfg.cache_path.clone(),
+            metrics,
+            trace: TraceBuffer::new(),
+            trace_path: cfg.trace_path.clone(),
+            stopping: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            jobs: JobsTable::new(),
+            http: Mutex::new(None),
+            pool,
+        }
+    }
+}
+
 /// The full Prometheus exposition for one daemon: queue/cache/latency
 /// families (now histogram-backed), per-worker families in coordinator
 /// mode, and the process-global registry. Shared verbatim by the TCP
@@ -215,19 +233,7 @@ impl Server {
                 Arc::clone(&metrics),
             )?)
         };
-        let state = Arc::new(State {
-            queue: JobQueue::new(cfg.queue_capacity),
-            cache: ResultCache::new(cfg.cache_capacity),
-            cache_path: cfg.cache_path,
-            metrics,
-            trace: TraceBuffer::new(),
-            trace_path: cfg.trace_path,
-            stopping: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            jobs: JobsTable::new(),
-            http: Mutex::new(None),
-            pool,
-        });
+        let state = Arc::new(State::new(&cfg, metrics, pool));
         if let Some(path) = &state.trace_path {
             // Streaming mode: spans hit disk as they happen instead of
             // accumulating until a (possibly never-reached) graceful
@@ -670,56 +676,35 @@ fn payload_ipc(payload: &str) -> Option<f64> {
     }
 }
 
-/// A run job's payload: local cache, then the dispatch pool
-/// (coordinator) or the local simulator (single-node). Returns
+/// A single-reply job's (`run` or `dc`) payload: a result-cache hit,
+/// or else computed — through the dispatch pool in coordinator mode, on
+/// the local simulator otherwise — and inserted. Returns
 /// `(payload, was_cached)`. `trace_id` rides the worker envelope in
 /// coordinator mode so the remote execution joins the job's trace.
-fn run_payload(
+/// Failures are not cached.
+fn cached_payload(
     state: &State,
-    run: &RunJob,
+    job: &Job,
     trace_id: Option<u64>,
 ) -> Result<(String, bool), ServerError> {
-    match &state.pool {
-        Some(pool) => {
-            let key = run.cache_key();
-            if let Some(hit) = state.cache.get(&key) {
-                state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit, true));
-            }
-            state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let payload = pool.dispatch_one(&Job::Run(run.clone()), trace_id, &state.trace)?;
-            state.cache.insert(&key, &payload);
-            Ok((payload, false))
-        }
-        None => {
-            exec::run_cached(&state.cache, &state.metrics, run).map_err(ServerError::exec_failed)
-        }
+    let key = job.cache_key();
+    if let Some(hit) = state.cache.get(&key) {
+        state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        return Ok((hit, true));
     }
-}
-
-/// A dc job's payload, mirroring [`run_payload`].
-fn dc_payload(
-    state: &State,
-    dc: &DcJob,
-    trace_id: Option<u64>,
-) -> Result<(String, bool), ServerError> {
-    match &state.pool {
-        Some(pool) => {
-            let key = dc.cache_key();
-            if let Some(hit) = state.cache.get(&key) {
-                state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit, true));
-            }
-            state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let payload =
-                pool.dispatch_one(&Job::Dc(Box::new(dc.clone())), trace_id, &state.trace)?;
-            state.cache.insert(&key, &payload);
-            Ok((payload, false))
+    state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+    let payload = match (&state.pool, job) {
+        (Some(pool), _) => pool.dispatch_one(job, trace_id, &state.trace)?,
+        (None, Job::Run(run)) => exec::simulate(run)
+            .map(|r| sharing_json::to_string(&r))
+            .map_err(ServerError::exec_failed)?,
+        (None, Job::Dc(dc)) => exec::run_dc(dc).map_err(ServerError::exec_failed)?,
+        (None, Job::Sweep(_) | Job::Market(_)) => {
+            return Err(ServerError::exec_failed("grid jobs run point by point"));
         }
-        None => {
-            exec::run_dc_cached(&state.cache, &state.metrics, dc).map_err(ServerError::exec_failed)
-        }
-    }
+    };
+    state.cache.insert(&key, &payload);
+    Ok((payload, false))
 }
 
 /// Resolves one grid of run jobs (a sweep or a market surface), calling
@@ -746,8 +731,7 @@ fn grid_payloads(
         None => {
             let mut points = 0u64;
             for (i, (_, run)) in jobs.iter().enumerate() {
-                let (payload, cached) = exec::run_cached(&state.cache, &state.metrics, run)
-                    .map_err(ServerError::exec_failed)?;
+                let (payload, cached) = cached_payload(state, &Job::Run(run.clone()), trace_id)?;
                 points += 1;
                 if !each(i, &payload, cached) {
                     break;
@@ -794,21 +778,28 @@ fn send_spans_line(job: &Queued, kind: &str, started: (u64, Instant), cached: bo
 
 fn execute_job(state: &Arc<State>, job: &Queued) -> JobReport {
     match &job.job {
-        Job::Run(run) => {
+        Job::Run(_) | Job::Dc(_) => {
+            let class = if let Job::Run(_) = job.job {
+                JobClass::Simulate
+            } else {
+                JobClass::Dc
+            };
             let started = (state.trace.now_us(), Instant::now());
-            match run_payload(state, run, job.trace) {
+            match cached_payload(state, &job.job, job.trace) {
                 Ok((payload, cached)) => {
-                    send_spans_line(job, "run", started, cached);
+                    send_spans_line(job, job.job.kind(), started, cached);
                     // The payload is spliced verbatim so cache hits (and
-                    // coordinator dispatches) are byte-identical to the
-                    // fresh run that filled them.
+                    // coordinator dispatches, and reloads from a persisted
+                    // cache file) are byte-identical to the fresh run
+                    // that filled them.
+                    let ty = job.job.result_type().expect("run and dc reply once");
                     let line = format!(
                         "{},\"cached\":{cached},\"result\":{payload}}}",
-                        ok_head(job.id, "result")
+                        ok_head(job.id, ty)
                     );
                     let _ = job.reply.send(line);
                     JobReport {
-                        class: JobClass::Simulate,
+                        class,
                         units: 1,
                         cached: Some(cached),
                         ok: true,
@@ -818,7 +809,7 @@ fn execute_job(state: &Arc<State>, job: &Queued) -> JobReport {
                     state.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     let _ = job.reply.send(e.to_line(job.id));
                     JobReport {
-                        class: JobClass::Simulate,
+                        class,
                         units: 0,
                         cached: None,
                         ok: false,
@@ -898,37 +889,73 @@ fn execute_job(state: &Arc<State>, job: &Queued) -> JobReport {
                 ok: true,
             }
         }
-        Job::Dc(dc) => {
-            let started = (state.trace.now_us(), Instant::now());
-            match dc_payload(state, dc, job.trace) {
-                Ok((payload, cached)) => {
-                    send_spans_line(job, "dc", started, cached);
-                    // Spliced verbatim, like run results, so cache hits
-                    // (and reloads from a persisted cache file) replay
-                    // the exact bytes of the original run.
-                    let line = format!(
-                        "{},\"cached\":{cached},\"result\":{payload}}}",
-                        ok_head(job.id, "dc_result")
-                    );
-                    let _ = job.reply.send(line);
-                    JobReport {
-                        class: JobClass::Dc,
-                        units: 1,
-                        cached: Some(cached),
-                        ok: true,
-                    }
-                }
-                Err(e) => {
-                    state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(e.to_line(job.id));
-                    JobReport {
-                        class: JobClass::Dc,
-                        units: 0,
-                        cached: None,
-                        ok: false,
-                    }
-                }
-            }
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::DcJob;
+    use sharing_trace::Benchmark;
+
+    fn state() -> State {
+        let cfg = ServerConfig {
+            cache_capacity: 16,
+            ..ServerConfig::default()
+        };
+        State::new(&cfg, Arc::new(Metrics::new(1)), None)
+    }
+
+    fn run(len: usize, seed: u64) -> Job {
+        Job::Run(RunJob {
+            workload: JobWorkload::Benchmark(Benchmark::Gcc),
+            slices: 2,
+            banks: 2,
+            len,
+            seed,
+        })
+    }
+
+    #[test]
+    fn cached_payload_is_byte_identical_to_fresh() {
+        let state = state();
+        let (fresh, was_cached) = cached_payload(&state, &run(500, 9), None).unwrap();
+        assert!(!was_cached);
+        let (hit, was_cached) = cached_payload(&state, &run(500, 9), None).unwrap();
+        assert!(was_cached);
+        assert_eq!(fresh, hit, "cache replay must be byte-identical");
+        assert_eq!(state.metrics.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dc_payload_is_deterministic_and_cached() {
+        let state = state();
+        let mut scenario = sharing_dc::Scenario::example_bursty();
+        scenario.chips = 2;
+        scenario.epochs = 8;
+        scenario.epoch_cycles = 10_000;
+        let job = Job::Dc(Box::new(DcJob {
+            scenario,
+            seed: 5,
+            mode: None,
+        }));
+        let (fresh, c0) = cached_payload(&state, &job, None).unwrap();
+        assert!(!c0);
+        let (hit, c1) = cached_payload(&state, &job, None).unwrap();
+        assert!(c1);
+        assert_eq!(fresh, hit, "cache replay must be byte-identical");
+        let v = Json::parse(&fresh).unwrap();
+        assert!(v.get("sharing").is_some(), "comparison carries sharing");
+        assert!(v.get("fixed").is_some(), "comparison carries fixed");
+    }
+
+    #[test]
+    fn different_jobs_do_not_alias() {
+        let state = state();
+        let (a, _) = cached_payload(&state, &run(500, 1), None).unwrap();
+        let (b, _) = cached_payload(&state, &run(500, 2), None).unwrap();
+        assert_ne!(a, b, "different seeds are different cache entries");
+        assert_eq!(state.metrics.cache_misses.load(Ordering::Relaxed), 2);
     }
 }

@@ -17,21 +17,22 @@
 //! # Example
 //!
 //! ```
-//! use sharing_trace::{Benchmark, TraceCache, TraceSpec};
+//! use sharing_trace::{Benchmark, TraceCache, TraceSpec, Workload};
 //!
 //! let cache = TraceCache::new();
 //! let spec = TraceSpec::new(2_000, 7);
-//! let a = cache.single(Benchmark::Gcc, &spec);
-//! let b = cache.single(Benchmark::Gcc, &spec);
+//! let gcc = Workload::Benchmark(Benchmark::Gcc);
+//! let a = cache.single(&gcc, &spec)?;
+//! let b = cache.single(&gcc, &spec)?;
 //! assert!(std::sync::Arc::ptr_eq(&a, &b));
 //! assert_eq!(cache.generations(), 1);
+//! # Ok::<(), String>(())
 //! ```
 
-use crate::benchmarks::Benchmark;
-use crate::generator::ProgramGenerator;
-use crate::profile::WorkloadProfile;
 use crate::trace::{ThreadedTrace, Trace, TraceSpec};
+use crate::workload::Workload;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -50,15 +51,28 @@ enum Generated {
     Threaded(Arc<ThreadedTrace>),
 }
 
-/// Cache key. `workload` is the benchmark name, or the serialized profile
-/// prefixed with `"profile:"` so user profiles can never alias a built-in
-/// benchmark name.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
+/// Cache key. A benchmark is keyed by its enum value, a profile by its
+/// content, so user profiles never alias a built-in benchmark and no
+/// lookup serializes anything.
+#[derive(Clone, Debug, PartialEq)]
 struct Key {
-    workload: String,
+    workload: Workload,
     threaded: bool,
-    len: usize,
-    seed: u64,
+    spec: TraceSpec,
+}
+
+// Only validated profiles become keys, and validation rejects NaN, so
+// equality is reflexive.
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Profiles hold floats, so only the name is hashed; equal keys
+        // share it, and `PartialEq` compares everything else.
+        self.workload.name().hash(state);
+        self.threaded.hash(state);
+        self.spec.hash(state);
+    }
 }
 
 struct Inner {
@@ -139,10 +153,27 @@ impl TraceCache {
         GLOBAL.get_or_init(TraceCache::new)
     }
 
-    /// Looks up (or creates) the slot for `key` and resolves it. Exactly
-    /// one caller runs `make`; concurrent requesters block on the slot's
-    /// `OnceLock` and clone the same value.
-    fn resolve(&self, key: Key, make: impl FnOnce() -> Generated) -> Generated {
+    /// Looks up (or creates) the slot for `workload` and resolves it.
+    /// Exactly one caller generates; concurrent requesters block on the
+    /// slot's `OnceLock` and clone the same value.
+    fn resolve(
+        &self,
+        workload: &Workload,
+        threaded: bool,
+        spec: &TraceSpec,
+    ) -> Result<Generated, String> {
+        // Profiles validate outside the slot, so an invalid one reaches
+        // its caller and never occupies a shared entry. Calibrated
+        // benchmarks are valid: they build their generator on a miss only.
+        let validated = match workload {
+            Workload::Profile(_) => Some(workload.generator(spec)?),
+            Workload::Benchmark(_) => None,
+        };
+        let key = Key {
+            workload: workload.clone(),
+            threaded,
+            spec: *spec,
+        };
         let slot = {
             let mut inner = self.inner.lock().expect("trace cache lock");
             if let Some(slot) = inner.slots.get(&key) {
@@ -164,97 +195,49 @@ impl TraceCache {
                 slot
             }
         };
-        slot.get_or_init(|| {
-            self.generations.fetch_add(1, Ordering::Relaxed);
-            observe_generation();
-            make()
-        })
-        .clone()
+        Ok(slot
+            .get_or_init(|| {
+                self.generations.fetch_add(1, Ordering::Relaxed);
+                observe_generation();
+                let generator = validated.unwrap_or_else(|| {
+                    workload
+                        .generator(spec)
+                        .expect("calibrated profiles are valid")
+                });
+                if threaded {
+                    Generated::Threaded(Arc::new(generator.generate()))
+                } else {
+                    Generated::Single(Arc::new(generator.generate_single()))
+                }
+            })
+            .clone())
     }
 
-    /// A single-threaded benchmark trace, generated at most once per
-    /// `(benchmark, len, seed)`.
-    #[must_use]
-    pub fn single(&self, bench: Benchmark, spec: &TraceSpec) -> Arc<Trace> {
-        let key = Key {
-            workload: bench.name().to_string(),
-            threaded: false,
-            len: spec.len,
-            seed: spec.seed,
-        };
-        match self.resolve(key, || Generated::Single(Arc::new(bench.generate(spec)))) {
-            Generated::Single(t) => t,
-            Generated::Threaded(_) => unreachable!("single key resolved to threaded trace"),
-        }
-    }
-
-    /// A threaded (PARSEC-style) benchmark trace, generated at most once
-    /// per `(benchmark, len, seed)`.
-    #[must_use]
-    pub fn threaded(&self, bench: Benchmark, spec: &TraceSpec) -> Arc<ThreadedTrace> {
-        let key = Key {
-            workload: bench.name().to_string(),
-            threaded: true,
-            len: spec.len,
-            seed: spec.seed,
-        };
-        match self.resolve(key, || {
-            Generated::Threaded(Arc::new(bench.generate_threaded(spec)))
-        }) {
-            Generated::Threaded(t) => t,
-            Generated::Single(_) => unreachable!("threaded key resolved to single trace"),
-        }
-    }
-
-    fn profile_key(profile: &WorkloadProfile, threaded: bool, spec: &TraceSpec) -> Key {
-        Key {
-            // The serialized profile is the identity: two profiles that
-            // differ in any field get different keys, and the `profile:`
-            // prefix keeps them disjoint from benchmark names.
-            workload: format!("profile:{}", sharing_json::to_string(profile)),
-            threaded,
-            len: spec.len,
-            seed: spec.seed,
-        }
-    }
-
-    /// A single-threaded trace for a user [`WorkloadProfile`], keyed by
-    /// the profile's serialized content.
+    /// A single-threaded trace (thread 0 of a threaded workload),
+    /// generated at most once per `(workload, len, seed)`.
     ///
     /// # Errors
     ///
-    /// Propagates profile validation errors from [`ProgramGenerator::new`].
-    pub fn profile_single(
-        &self,
-        profile: &WorkloadProfile,
-        spec: &TraceSpec,
-    ) -> Result<Arc<Trace>, String> {
-        // Validate outside the slot so errors surface to this caller
-        // instead of poisoning a shared entry.
-        let generator = ProgramGenerator::new(profile, *spec)?;
-        let key = Self::profile_key(profile, false, spec);
-        match self.resolve(key, || {
-            Generated::Single(Arc::new(generator.generate_single()))
-        }) {
+    /// Propagates profile validation errors; benchmarks never fail.
+    pub fn single(&self, workload: &Workload, spec: &TraceSpec) -> Result<Arc<Trace>, String> {
+        match self.resolve(workload, false, spec)? {
             Generated::Single(t) => Ok(t),
             Generated::Threaded(_) => unreachable!("single key resolved to threaded trace"),
         }
     }
 
-    /// A threaded trace for a user [`WorkloadProfile`], keyed by the
-    /// profile's serialized content.
+    /// A threaded trace with every thread of the workload, generated at
+    /// most once per `(workload, len, seed)`.
     ///
     /// # Errors
     ///
-    /// Propagates profile validation errors from [`ProgramGenerator::new`].
-    pub fn profile_threaded(
+    /// Propagates profile validation errors; benchmarks never fail.
+    pub fn threaded(
         &self,
-        profile: &WorkloadProfile,
+        workload: &Workload,
         spec: &TraceSpec,
     ) -> Result<Arc<ThreadedTrace>, String> {
-        let generator = ProgramGenerator::new(profile, *spec)?;
-        let key = Self::profile_key(profile, true, spec);
-        match self.resolve(key, || Generated::Threaded(Arc::new(generator.generate()))) {
+        match self.resolve(workload, true, spec)? {
             Generated::Threaded(t) => Ok(t),
             Generated::Single(_) => unreachable!("threaded key resolved to single trace"),
         }
@@ -300,13 +283,18 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmarks::{Benchmark, ALL_BENCHMARKS};
+
+    fn single(cache: &TraceCache, b: Benchmark, spec: &TraceSpec) -> Arc<Trace> {
+        cache.single(&Workload::Benchmark(b), spec).unwrap()
+    }
 
     #[test]
     fn repeated_lookups_share_one_generation() {
         let cache = TraceCache::new();
         let spec = TraceSpec::new(1_000, 42);
-        let a = cache.single(Benchmark::Gcc, &spec);
-        let b = cache.single(Benchmark::Gcc, &spec);
+        let a = single(&cache, Benchmark::Gcc, &spec);
+        let b = single(&cache, Benchmark::Gcc, &spec);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.generations(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -316,10 +304,10 @@ mod tests {
     fn distinct_keys_do_not_alias() {
         let cache = TraceCache::new();
         let spec = TraceSpec::new(1_000, 42);
-        let a = cache.single(Benchmark::Gcc, &spec);
-        let b = cache.single(Benchmark::Mcf, &spec);
-        let c = cache.single(Benchmark::Gcc, &TraceSpec::new(1_000, 43));
-        let d = cache.single(Benchmark::Gcc, &TraceSpec::new(1_001, 42));
+        let a = single(&cache, Benchmark::Gcc, &spec);
+        let b = single(&cache, Benchmark::Mcf, &spec);
+        let c = single(&cache, Benchmark::Gcc, &TraceSpec::new(1_000, 43));
+        let d = single(&cache, Benchmark::Gcc, &TraceSpec::new(1_001, 42));
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert!(!Arc::ptr_eq(&a, &d));
@@ -327,20 +315,29 @@ mod tests {
     }
 
     #[test]
-    fn cached_trace_matches_fresh_generation() {
+    fn benchmark_traces_match_fresh_generation() {
         let cache = TraceCache::new();
-        let spec = TraceSpec::new(2_000, 7);
-        let cached = cache.single(Benchmark::Omnetpp, &spec);
-        let fresh = Benchmark::Omnetpp.generate(&spec);
-        assert_eq!(cached.insts(), fresh.insts());
+        let spec = TraceSpec::new(300, 7);
+        for &b in &ALL_BENCHMARKS {
+            let w = Workload::Benchmark(b);
+            let cached = cache.single(&w, &spec).unwrap();
+            assert_eq!(cached.insts(), b.generate(&spec).insts(), "{b}");
+            let cached = cache.threaded(&w, &spec).unwrap();
+            let fresh = b.generate_threaded(&spec);
+            assert_eq!(cached.thread_count(), fresh.thread_count(), "{b}");
+            for (c, f) in cached.threads().iter().zip(fresh.threads()) {
+                assert_eq!(c.insts(), f.insts(), "{b}");
+            }
+        }
     }
 
     #[test]
     fn threaded_and_single_keys_are_disjoint() {
         let cache = TraceCache::new();
         let spec = TraceSpec::new(1_000, 1);
-        let _ = cache.single(Benchmark::Swaptions, &spec);
-        let t = cache.threaded(Benchmark::Swaptions, &spec);
+        let swaptions = Workload::Benchmark(Benchmark::Swaptions);
+        let _ = cache.single(&swaptions, &spec).unwrap();
+        let t = cache.threaded(&swaptions, &spec).unwrap();
         assert!(t.thread_count() > 1);
         assert_eq!(cache.generations(), 2);
     }
@@ -351,7 +348,7 @@ mod tests {
         let spec = TraceSpec::new(5_000, 0xBEEF);
         let ptrs: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| Arc::as_ptr(&cache.single(Benchmark::Sjeng, &spec)) as usize))
+                .map(|_| s.spawn(|| Arc::as_ptr(&single(&cache, Benchmark::Sjeng, &spec)) as usize))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -368,11 +365,11 @@ mod tests {
     fn capacity_evicts_oldest() {
         let cache = TraceCache::with_capacity(2);
         let spec = TraceSpec::new(500, 1);
-        let first = cache.single(Benchmark::Gcc, &spec);
-        let _ = cache.single(Benchmark::Mcf, &spec);
-        let _ = cache.single(Benchmark::Astar, &spec); // evicts gcc
+        let first = single(&cache, Benchmark::Gcc, &spec);
+        let _ = single(&cache, Benchmark::Mcf, &spec);
+        let _ = single(&cache, Benchmark::Astar, &spec); // evicts gcc
         assert_eq!(cache.len(), 2);
-        let again = cache.single(Benchmark::Gcc, &spec);
+        let again = single(&cache, Benchmark::Gcc, &spec);
         assert!(
             !Arc::ptr_eq(&first, &again),
             "evicted entry must be regenerated"
@@ -384,13 +381,20 @@ mod tests {
     fn profile_lookups_memoize_and_validate() {
         let cache = TraceCache::new();
         let spec = TraceSpec::new(1_000, 3);
-        let profile = Benchmark::Gcc.profile();
-        let a = cache.profile_single(&profile, &spec).unwrap();
-        let b = cache.profile_single(&profile, &spec).unwrap();
+        let profile = Workload::Profile(Box::new(Benchmark::Gcc.profile()));
+        let a = cache.single(&profile, &spec).unwrap();
+        let b = cache.single(&profile, &spec).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.generations(), 1);
-        let mut bad = profile;
+        // Same name and content as the benchmark, but a separate key.
+        let bench = single(&cache, Benchmark::Gcc, &spec);
+        assert!(!Arc::ptr_eq(&a, &bench));
+        assert_eq!(a.insts(), bench.insts());
+        let Workload::Profile(mut bad) = profile else {
+            unreachable!()
+        };
         bad.threads = 0;
-        assert!(cache.profile_single(&bad, &spec).is_err());
+        assert!(cache.single(&Workload::Profile(bad), &spec).is_err());
+        assert_eq!(cache.len(), 2, "an invalid profile takes no slot");
     }
 }

@@ -37,6 +37,7 @@ pub mod reuse;
 pub mod rng;
 pub mod stats;
 pub mod trace;
+pub mod workload;
 
 pub use benchmarks::{
     bursty_profile, extra_profile, gcc_phase_profile, gcc_phase_trace, phase_shift_profile,
@@ -53,3 +54,4 @@ pub use reuse::ReuseProfile;
 pub use rng::Rng64;
 pub use stats::TraceStats;
 pub use trace::{ThreadedTrace, Trace, TraceSpec};
+pub use workload::Workload;

@@ -231,8 +231,14 @@ impl WorkloadProfile {
         if self.regions.is_empty() {
             return Err("at least one memory region required".to_string());
         }
-        if self.regions.iter().any(|r| r.bytes == 0 || r.weight < 0.0) {
-            return Err("regions must have positive size and non-negative weight".to_string());
+        if self
+            .regions
+            .iter()
+            .any(|r| r.bytes == 0 || !r.weight.is_finite() || r.weight < 0.0)
+        {
+            return Err(
+                "regions must have positive size and finite non-negative weight".to_string(),
+            );
         }
         if self.regions.iter().map(|r| r.weight).sum::<f64>() <= 0.0 {
             return Err("total region weight must be positive".to_string());
@@ -437,6 +443,13 @@ mod tests {
         let mut p = WorkloadProfile::builder("x").build();
         p.chains = 0;
         assert!(p.validate().is_err());
+        // A NaN weight would make the profile unequal to itself, and so
+        // unfindable as a trace-cache key.
+        for weight in [f64::NAN, f64::INFINITY] {
+            let mut p = WorkloadProfile::builder("x").build();
+            p.regions[0].weight = weight;
+            assert!(p.validate().is_err(), "{weight}");
+        }
     }
 
     #[test]

@@ -61,9 +61,9 @@ grep -q 'conserved true' "$TRACE_TMP/prof_a.txt"
 
 echo "== threads smoke: --threads 4 byte-identical to the default =="
 # The worker count must be unobservable (DESIGN.md §14): a single-trace
-# run and a 4-thread PARSEC VM at --threads 4 must match the default
-# run's bytes exactly.
-for bench in gcc dedup; do
+# run, a 4-thread PARSEC VM and a profile workload (bursty) at
+# --threads 4 must match the default run's bytes exactly.
+for bench in gcc dedup bursty; do
   "$SSIM" run --benchmark "$bench" --len 2000 --seed 9 --json \
     > "$TRACE_TMP/run_${bench}_default.json"
   "$SSIM" run --benchmark "$bench" --len 2000 --seed 9 --json --threads 4 \
