@@ -557,14 +557,18 @@ mod tests {
     use crate::plan::{FaultRule, DEFAULT_DURATION_MS};
 
     /// The global handle is shared across tests in this binary, so each
-    /// test runs under this lock and disarms when done.
-    fn with_plan<R>(plan: FaultPlan, f: impl FnOnce(&ChaosHooks) -> R) -> R {
-        use std::sync::{Mutex, MutexGuard, OnceLock};
+    /// test that touches it holds this lock.
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        use std::sync::{Mutex, OnceLock};
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        let _gate: MutexGuard<'_, ()> = GATE
-            .get_or_init(|| Mutex::new(()))
+        GATE.get_or_init(|| Mutex::new(()))
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs `f` with `plan` armed under [`gate`], disarming when done.
+    fn with_plan<R>(plan: FaultPlan, f: impl FnOnce(&ChaosHooks) -> R) -> R {
+        let _gate = gate();
         let h = hooks();
         h.arm(plan);
         let out = f(h);
@@ -574,6 +578,7 @@ mod tests {
 
     #[test]
     fn disarmed_hooks_pass_everything() {
+        let _gate = gate();
         let h = hooks();
         assert!(!h.is_armed());
         assert_eq!(h.on_dispatch_exchange("w"), IoFault::Pass);

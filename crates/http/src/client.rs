@@ -56,10 +56,11 @@ pub fn request(
         head.push_str(&format!("Content-Length: {}\r\n", body.len()));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    if let Some(body) = body {
-        stream.write_all(body)?;
-    }
+    // Head and body leave in one write, so Nagle never holds the body
+    // back waiting on the server's ACK of the head.
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body.unwrap_or_default());
+    stream.write_all(&message)?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     parse_response(&raw)

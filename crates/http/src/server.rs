@@ -212,7 +212,11 @@ impl HttpServer {
                     if astate.stopping.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
+                    // Responses are written whole, so there is nothing
+                    // for Nagle to coalesce; it could only delay them.
+                    let Ok(stream) = conn.and_then(|s| s.set_nodelay(true).map(|()| s)) else {
+                        continue;
+                    };
                     // Chaos accept seam: a drop_conn fault closes the
                     // just-accepted connection without serving it.
                     if sharing_chaos::hooks().on_http_accept() == sharing_chaos::IoFault::Drop {

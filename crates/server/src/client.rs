@@ -15,6 +15,13 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A connected ssimd client.
+///
+/// Both constructors set `TCP_NODELAY` on the socket, and every request
+/// goes out through [`protocol::write_line`] as one `write`. With Nagle
+/// on, a request split over two writes, or a small request sent while a
+/// previous segment is still unacknowledged, waits for the daemon's
+/// delayed ACK (~40 ms on Linux); a coordinator would pay that on every
+/// point it dispatches.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -31,12 +38,7 @@ impl Client {
     ///
     /// Propagates connection errors.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let writer = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
-        })
+        Client::over(TcpStream::connect(addr)?)
     }
 
     /// Connects with a connect timeout (the first resolved address is
@@ -52,7 +54,13 @@ impl Client {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "address resolved to nothing"))?;
-        let stream = TcpStream::connect_timeout(&sock, timeout)?;
+        Client::over(TcpStream::connect_timeout(&sock, timeout)?)
+    }
+
+    /// Wraps a freshly dialled socket, turning Nagle's algorithm off
+    /// first (see the type docs).
+    fn over(stream: TcpStream) -> std::io::Result<Client> {
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -256,5 +264,35 @@ impl Client {
                 return Ok(lines);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    fn assert_nodelay(client: &Client) {
+        assert!(client.writer.nodelay().unwrap(), "writer has Nagle on");
+        assert!(
+            client.reader.get_ref().nodelay().unwrap(),
+            "reader has Nagle on"
+        );
+    }
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert_nodelay(&client);
+    }
+
+    #[test]
+    fn connect_timeout_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client =
+            Client::connect_timeout(listener.local_addr().unwrap(), Duration::from_secs(5))
+                .unwrap();
+        assert_nodelay(&client);
     }
 }

@@ -712,14 +712,24 @@ pub fn read_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
     Ok(Some(line))
 }
 
-/// Writes one protocol line and flushes it.
+/// Writes one protocol line, `line` and its `\n` in a single `write`,
+/// and flushes it.
+///
+/// One write per line is the framing invariant: with the line split
+/// over two writes, Nagle's algorithm holds the `\n` until the peer
+/// acknowledges the payload, and a peer that delays its ACK (~40 ms on
+/// Linux) stalls every reply by that much. Every ssimd socket also runs
+/// with `TCP_NODELAY` (see [`crate::client::Client`] and the daemon's
+/// accept loop), so a line leaves as soon as it is written.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    writer.write_all(&framed)?;
     writer.flush()
 }
 
@@ -1120,5 +1130,45 @@ mod tests {
             assert_eq!(ErrorCode::parse(code.name()), Some(code));
         }
         assert_eq!(ErrorCode::parse("explode"), None);
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_line_in_one_write() {
+        let line = Envelope {
+            id: Some(3),
+            proto: Some(PROTO_VERSION),
+            trace: None,
+            req: Request::Ping,
+        }
+        .to_line();
+        for line in [line.as_str(), "", "{\"ok\":true,\"note\":\"µs\"}"] {
+            let mut w = CountingWriter::default();
+            write_line(&mut w, line).unwrap();
+            assert_eq!(w.writes.len(), 1, "one write per line for {line:?}");
+            assert_eq!(w.writes[0], format!("{line}\n").into_bytes());
+            assert_eq!(w.flushes, 1);
+            // The frame reads back as the line it carried.
+            let mut reader = std::io::BufReader::new(&w.writes[0][..]);
+            assert_eq!(read_line(&mut reader).unwrap().as_deref(), Some(line));
+        }
     }
 }

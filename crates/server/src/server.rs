@@ -289,7 +289,9 @@ impl Server {
                     if lstate.stopping.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
+                    let Ok(stream) = conn.and_then(accepted) else {
+                        continue;
+                    };
                     let cstate = Arc::clone(&lstate);
                     let _ = std::thread::Builder::new()
                         .name("ssimd-conn".into())
@@ -431,6 +433,14 @@ fn grid_jobs(
             )
         })
         .collect()
+}
+
+/// Readies an accepted connection for the line protocol: `TCP_NODELAY`
+/// on, so each reply line, written whole by [`protocol::write_line`],
+/// leaves at once instead of waiting on the client's delayed ACK.
+fn accepted(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<State>, local: SocketAddr) {
@@ -914,6 +924,15 @@ mod tests {
             len,
             seed,
         })
+    }
+
+    #[test]
+    fn accepted_connections_run_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap(), "Nagle is on by default");
+        assert!(accepted(stream).unwrap().nodelay().unwrap());
     }
 
     #[test]

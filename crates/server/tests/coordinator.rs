@@ -261,13 +261,24 @@ fn slow_but_alive_worker_times_out_and_work_lands_on_the_survivor() {
         "a stalled worker must not change a single byte"
     );
 
-    let text = metrics_text(coord.local_addr());
+    // The grid marks the staller broken once its retries run out, which
+    // can be the sweep's last event. The staller answers every health
+    // probe: it is slow, not dead, so the next probe (every 100 ms)
+    // re-admits it and the pool counts both workers healthy again.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let text = loop {
+        let text = metrics_text(coord.local_addr());
+        if sample(&text, "ssimd_workers_healthy") == Some(2.0)
+            || std::time::Instant::now() > deadline
+        {
+            break text;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
     assert!(
         sample(&text, "ssimd_dispatch_retries_total").is_some_and(|n| n >= 1.0),
         "timeouts on the stalled worker must be counted as retries: {text}"
     );
-    // The staller answered every health probe: it is slow, not dead, so
-    // the pool still counts both workers healthy.
     assert_eq!(sample(&text, "ssimd_workers_healthy"), Some(2.0), "{text}");
 
     coord.stop();

@@ -96,9 +96,12 @@ awk -v cps="$CPS" -v vm_cps="$VM_CPS" 'BEGIN {
 }'
 
 echo "== multi-node smoke: 2 workers + 1 coordinator, byte-identical sweep =="
-"$SSIM" serve --addr 127.0.0.1:42115 --workers 2 &
+# The smoke daemons bind fixed ports 24115-24119, below Linux's ephemeral
+# range (32768-60999): a port in that range can be held by a client
+# socket in TIME_WAIT and fail the bind.
+"$SSIM" serve --addr 127.0.0.1:24115 --workers 2 &
 W1=$!
-"$SSIM" serve --addr 127.0.0.1:42116 --workers 2 &
+"$SSIM" serve --addr 127.0.0.1:24116 --workers 2 &
 W2=$!
 COORD=""
 HTTP_DAEMON=""
@@ -108,43 +111,43 @@ cleanup_daemons() {
 }
 trap cleanup_daemons EXIT
 # The coordinator registers its workers at startup, so they go first.
-for port in 42115 42116; do
+for port in 24115 24116; do
   for _ in $(seq 1 50); do
     "$SSIM" submit --addr "127.0.0.1:$port" --ping >/dev/null 2>&1 && break
     sleep 0.2
   done
 done
-"$SSIM" serve --addr 127.0.0.1:42117 --workers 2 \
-  --worker 127.0.0.1:42115 --worker 127.0.0.1:42116 \
+"$SSIM" serve --addr 127.0.0.1:24117 --workers 2 \
+  --worker 127.0.0.1:24115 --worker 127.0.0.1:24116 \
   --trace-out "$TRACE_TMP/fleet.trace.jsonl" &
 COORD=$!
 for _ in $(seq 1 50); do
-  "$SSIM" submit --addr 127.0.0.1:42117 --ping >/dev/null 2>&1 && break
+  "$SSIM" submit --addr 127.0.0.1:24117 --ping >/dev/null 2>&1 && break
   sleep 0.2
 done
-"$SSIM" submit --addr 127.0.0.1:42117 --hello
+"$SSIM" submit --addr 127.0.0.1:24117 --hello
 # The same sweep in-process and through the coordinator must agree on
 # every byte of the table (the daemon run appends a provenance line).
 "$SSIM" sweep --benchmark gcc --len 2000 --seed 9 > "$TRACE_TMP/local.txt"
 "$SSIM" sweep --benchmark gcc --len 2000 --seed 9 \
-  --daemon 127.0.0.1:42117 > "$TRACE_TMP/fanout.txt"
+  --daemon 127.0.0.1:24117 > "$TRACE_TMP/fanout.txt"
 diff "$TRACE_TMP/local.txt" <(grep -v '^served by' "$TRACE_TMP/fanout.txt")
-"$SSIM" submit --addr 127.0.0.1:42117 --metrics | grep -q '^ssimd_dispatched_total 72'
-"$SSIM" submit --addr 127.0.0.1:42117 --metrics | grep -q '^ssimd_workers_healthy 2'
+"$SSIM" submit --addr 127.0.0.1:24117 --metrics | grep -q '^ssimd_dispatched_total 72'
+"$SSIM" submit --addr 127.0.0.1:24117 --metrics | grep -q '^ssimd_workers_healthy 2'
 # One coordinator scrape federates every worker's exposition under an
 # instance label; the coordinator's own samples stay bare (greps above).
-"$SSIM" submit --addr 127.0.0.1:42117 --metrics > "$TRACE_TMP/fed.txt"
+"$SSIM" submit --addr 127.0.0.1:24117 --metrics > "$TRACE_TMP/fed.txt"
 grep -q 'instance="worker:0"' "$TRACE_TMP/fed.txt"
 grep -q 'instance="worker:1"' "$TRACE_TMP/fed.txt"
 grep -q '^ssimd_build_info{' "$TRACE_TMP/fed.txt"
 # A traced job streams its spans into the coordinator's .jsonl sink:
 # dispatch spans (track 1000+) and relayed worker spans (track 2000+)
 # merged under the one trace id.
-"$SSIM" submit --addr 127.0.0.1:42117 --benchmark gcc --len 2000 --seed 7 \
+"$SSIM" submit --addr 127.0.0.1:24117 --benchmark gcc --len 2000 --seed 7 \
   --trace 42 >/dev/null
-"$SSIM" submit --addr 127.0.0.1:42117 --shutdown >/dev/null
-"$SSIM" submit --addr 127.0.0.1:42115 --shutdown >/dev/null
-"$SSIM" submit --addr 127.0.0.1:42116 --shutdown >/dev/null
+"$SSIM" submit --addr 127.0.0.1:24117 --shutdown >/dev/null
+"$SSIM" submit --addr 127.0.0.1:24115 --shutdown >/dev/null
+"$SSIM" submit --addr 127.0.0.1:24116 --shutdown >/dev/null
 wait "$W1" "$W2" "$COORD"
 grep -q '"trace":42' "$TRACE_TMP/fleet.trace.jsonl"
 grep -q '"tid":200[01]' "$TRACE_TMP/fleet.trace.jsonl"
@@ -168,8 +171,8 @@ grep -q '^chaos: all invariants held' "$TRACE_TMP/chaos_a.txt"
 
 echo "== http smoke: serve --http + --pidfile, jobs over HTTP, SIGTERM drain =="
 PIDFILE="$TRACE_TMP/ssimd.pid"
-URL="http://127.0.0.1:42119"
-"$SSIM" serve --addr 127.0.0.1:42118 --http 127.0.0.1:42119 --workers 2 \
+URL="http://127.0.0.1:24119"
+"$SSIM" serve --addr 127.0.0.1:24118 --http 127.0.0.1:24119 --workers 2 \
   --pidfile "$PIDFILE" &
 HTTP_DAEMON=$!
 for _ in $(seq 1 50); do
