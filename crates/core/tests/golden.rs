@@ -8,7 +8,8 @@
 //! every benchmark, a sample of the shape grid with its corners, the
 //! synthetic stress profiles, 4-thread VMs and coscheduled tenants, the
 //! cycle profiler, per-instruction timings, a verified run, a phased
-//! run and a live reconfiguration.
+//! run, a live reconfiguration, and long runs that cross the engine's
+//! bounded-history thresholds.
 //!
 //! A change that moves any timing result must update the file in the
 //! same commit and say why in CHANGES.md (DESIGN.md §13). On a mismatch
@@ -199,6 +200,18 @@ fn table() -> Table {
         .expect("valid");
     vcore.run(&phases[2]);
     t.result("reconfig/gcc@1x2>4x2>4x8", &vcore.finish());
+
+    // Long runs, past the engine's bounded-history thresholds: the FU
+    // calendar prune (> 8192 occupied cycles), the link calendar prune
+    // (> 4096 claims on one link) and the store-map retain (> 8192
+    // entries). The short cases above never reach any of them.
+    let trace = Benchmark::Libquantum.generate(&TraceSpec::new(100_000, 29));
+    for (s, b) in [(1usize, 0usize), (8, 16)] {
+        let r = run(cfg(s, b), &trace, opts()).result;
+        t.result(format_args!("long/libquantum@{s}x{b}"), &r);
+    }
+    let r = vm.run(&Benchmark::Dedup.generate_threaded(&TraceSpec::new(20_000, 31)));
+    t.result("long/vm/dedup@2x4", &r);
 
     t
 }
