@@ -136,15 +136,29 @@ pub struct AccessOutcome {
     pub writeback: Option<u64>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct LineEntry {
     line: u64,
     dirty: bool,
 }
 
+/// An empty way. Real line numbers are byte addresses shifted right by
+/// the line bits, so they never reach `u64::MAX`; empty ways are clean,
+/// so an empty victim never reports a writeback.
+const EMPTY: LineEntry = LineEntry {
+    line: u64::MAX,
+    dirty: false,
+};
+
 /// An LRU set-associative, write-back, write-allocate cache over *line
 /// numbers* (byte address >> line bits). Data values are not stored — the
 /// simulator tracks values architecturally — only presence and dirtiness.
+///
+/// The ways live in one flat array, `ways` entries per set, each set
+/// most-recently-used first with its empty ways at the tail. A set is
+/// found with a mask (the set count is a power of two), a hit or a fill
+/// rotates the touched prefix right by one, and an invalidation rotates
+/// the tail left, so no access allocates or divides.
 ///
 /// # Example
 ///
@@ -160,8 +174,11 @@ struct LineEntry {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     geom: CacheGeometry,
-    /// Per set, most-recently-used first.
-    sets: Vec<Vec<LineEntry>>,
+    ways: usize,
+    /// `sets - 1`: a line's set is `line & set_mask`.
+    set_mask: u64,
+    /// `sets × ways` entries; set `i` is `lines[i * ways..(i + 1) * ways]`.
+    lines: Vec<LineEntry>,
     stats: CacheStats,
 }
 
@@ -169,9 +186,13 @@ impl SetAssocCache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
+        let ways = geom.ways() as usize;
+        let sets = geom.sets();
         SetAssocCache {
             geom,
-            sets: vec![Vec::with_capacity(geom.ways() as usize); geom.sets() as usize],
+            ways,
+            set_mask: sets - 1,
+            lines: vec![EMPTY; sets as usize * ways],
             stats: CacheStats::default(),
         }
     }
@@ -188,42 +209,47 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line % self.geom.sets()) as usize
+    /// The ways of `line`'s set, most recently used first.
+    fn set(&self, line: u64) -> &[LineEntry] {
+        let base = (line & self.set_mask) as usize * self.ways;
+        &self.lines[base..base + self.ways]
+    }
+
+    fn set_mut(&mut self, line: u64) -> &mut [LineEntry] {
+        let base = (line & self.set_mask) as usize * self.ways;
+        &mut self.lines[base..base + self.ways]
     }
 
     /// Accesses `line`; allocates on miss, possibly evicting the LRU way.
     /// `is_write` marks the line dirty.
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+        debug_assert_ne!(line, EMPTY.line, "line number reserved for empty ways");
         self.stats.accesses += 1;
-        let si = self.set_index(line);
-        let set = &mut self.sets[si];
+        let set = self.set_mut(line);
         if let Some(pos) = set.iter().position(|e| e.line == line) {
+            set[pos].dirty |= is_write;
+            set[..=pos].rotate_right(1);
             self.stats.hits += 1;
-            let mut e = set.remove(pos);
-            e.dirty |= is_write;
-            set.insert(0, e);
             return AccessOutcome {
                 hit: true,
                 writeback: None,
             };
         }
-        // Miss: allocate, evicting LRU if the set is full.
-        let mut writeback = None;
-        if set.len() == self.geom.ways() as usize {
-            let victim = set.pop().expect("full set has a victim");
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                writeback = Some(victim.line);
-            }
-        }
-        set.insert(
-            0,
+        // Miss: the LRU way (empty while the set has room) makes way.
+        set.rotate_right(1);
+        let victim = std::mem::replace(
+            &mut set[0],
             LineEntry {
                 line,
                 dirty: is_write,
             },
         );
+        let writeback = if victim.dirty {
+            self.stats.writebacks += 1;
+            Some(victim.line)
+        } else {
+            None
+        };
         AccessOutcome {
             hit: false,
             writeback,
@@ -233,31 +259,27 @@ impl SetAssocCache {
     /// Checks residency without updating LRU state or statistics.
     #[must_use]
     pub fn probe(&self, line: u64) -> bool {
-        let si = self.set_index(line);
-        self.sets[si].iter().any(|e| e.line == line)
+        self.set(line).iter().any(|e| e.line == line)
     }
 
     /// Invalidates a line (coherence); returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let si = self.set_index(line);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|e| e.line == line) {
-            let e = set.remove(pos);
-            self.stats.invalidations += 1;
-            e.dirty
-        } else {
-            false
-        }
+        let set = self.set_mut(line);
+        let Some(pos) = set.iter().position(|e| e.line == line) else {
+            return false;
+        };
+        let dirty = set[pos].dirty;
+        set[pos..].rotate_left(1);
+        set[set.len() - 1] = EMPTY;
+        self.stats.invalidations += 1;
+        dirty
     }
 
     /// Flushes the whole cache (reconfiguration, §3.8); returns the number
     /// of dirty lines written back.
     pub fn flush_all(&mut self) -> u64 {
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            dirty += set.iter().filter(|e| e.dirty).count() as u64;
-            set.clear();
-        }
+        let dirty = self.lines.iter().filter(|e| e.dirty).count() as u64;
+        self.lines.fill(EMPTY);
         self.stats.writebacks += dirty;
         dirty
     }
@@ -265,13 +287,151 @@ impl SetAssocCache {
     /// Number of resident lines.
     #[must_use]
     pub fn resident_lines(&self) -> u64 {
-        self.sets.iter().map(|s| s.len() as u64).sum()
+        self.lines.iter().filter(|e| e.line != EMPTY.line).count() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original cache, one `Vec` per set kept most-recently-used
+    /// first with `remove` + `insert(0, _)`, indexed by `line % sets` —
+    /// kept as the reference the flat cache must match.
+    struct VecSetCache {
+        geom: CacheGeometry,
+        sets: Vec<Vec<LineEntry>>,
+        stats: CacheStats,
+    }
+
+    impl VecSetCache {
+        fn new(geom: CacheGeometry) -> Self {
+            VecSetCache {
+                geom,
+                sets: vec![Vec::with_capacity(geom.ways() as usize); geom.sets() as usize],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_index(&self, line: u64) -> usize {
+            (line % self.geom.sets()) as usize
+        }
+
+        fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+            self.stats.accesses += 1;
+            let si = self.set_index(line);
+            let set = &mut self.sets[si];
+            if let Some(pos) = set.iter().position(|e| e.line == line) {
+                self.stats.hits += 1;
+                let mut e = set.remove(pos);
+                e.dirty |= is_write;
+                set.insert(0, e);
+                return AccessOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            let mut writeback = None;
+            if set.len() == self.geom.ways() as usize {
+                let victim = set.pop().expect("full set has a victim");
+                if victim.dirty {
+                    self.stats.writebacks += 1;
+                    writeback = Some(victim.line);
+                }
+            }
+            set.insert(
+                0,
+                LineEntry {
+                    line,
+                    dirty: is_write,
+                },
+            );
+            AccessOutcome {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn probe(&self, line: u64) -> bool {
+            self.sets[self.set_index(line)]
+                .iter()
+                .any(|e| e.line == line)
+        }
+
+        fn invalidate(&mut self, line: u64) -> bool {
+            let si = self.set_index(line);
+            let set = &mut self.sets[si];
+            if let Some(pos) = set.iter().position(|e| e.line == line) {
+                let e = set.remove(pos);
+                self.stats.invalidations += 1;
+                e.dirty
+            } else {
+                false
+            }
+        }
+
+        fn flush_all(&mut self) -> u64 {
+            let mut dirty = 0;
+            for set in &mut self.sets {
+                dirty += set.iter().filter(|e| e.dirty).count() as u64;
+                set.clear();
+            }
+            self.stats.writebacks += dirty;
+            dirty
+        }
+
+        fn resident_lines(&self) -> u64 {
+            self.sets.iter().map(|s| s.len() as u64).sum()
+        }
+    }
+
+    #[test]
+    fn flat_cache_matches_vec_per_set_reference() {
+        // The engine's geometries: L1D 8 sets x 2 ways, L1I 64 x 2, an
+        // L2 bank 16 x 4, plus a direct-mapped cache.
+        let geometries = [
+            CacheGeometry::new(1 << 10, 64, 2).unwrap(),
+            CacheGeometry::new(1 << 10, 8, 2).unwrap(),
+            CacheGeometry::new(crate::l2::BANK_EFFECTIVE_BYTES, 64, crate::l2::BANK_WAYS).unwrap(),
+            CacheGeometry::new(1 << 10, 64, 1).unwrap(),
+        ];
+        assert_eq!(geometries[2].sets(), 16);
+        let mut x = 0x5EED_CAC4E_u64;
+        for geom in geometries {
+            let mut flat = SetAssocCache::new(geom);
+            let mut reference = VecSetCache::new(geom);
+            // A footprint of a few times the capacity, so sets fill,
+            // evict and refill.
+            let footprint = geom.sets() * u64::from(geom.ways()) * 3;
+            for step in 0..40_000u32 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let r = x >> 33;
+                let line = (r >> 8) % footprint;
+                let ctx = format!("{geom:?} step {step}");
+                match r % 100 {
+                    0..=79 => {
+                        let write = r & 0x80 != 0;
+                        assert_eq!(
+                            flat.access(line, write),
+                            reference.access(line, write),
+                            "{ctx}"
+                        );
+                    }
+                    80..=89 => assert_eq!(flat.probe(line), reference.probe(line), "{ctx}"),
+                    90..=98 => {
+                        assert_eq!(flat.invalidate(line), reference.invalidate(line), "{ctx}")
+                    }
+                    _ if r & 0x700 == 0 => {
+                        assert_eq!(flat.flush_all(), reference.flush_all(), "{ctx}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(flat.stats(), reference.stats, "{ctx}");
+                assert_eq!(flat.resident_lines(), reference.resident_lines(), "{ctx}");
+            }
+            assert!(flat.stats().writebacks > 0 && flat.stats().invalidations > 0);
+        }
+    }
 
     fn small() -> SetAssocCache {
         // 4 sets x 2 ways, 64B lines.

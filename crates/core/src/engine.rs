@@ -249,7 +249,8 @@ impl FifoSlots {
     fn occupy(&mut self, until: u64) {
         let head = self.head;
         self.free_at[head] = self.free_at[head].max(until);
-        self.head = (head + 1) % self.free_at.len();
+        let next = head + 1;
+        self.head = if next == self.free_at.len() { 0 } else { next };
     }
 }
 

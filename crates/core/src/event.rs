@@ -26,12 +26,20 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A pool of `n` interchangeable slots, each free again at its
 /// recorded time.
 /// `available_at` peeks the earliest wake-up; `occupy` reschedules that
-/// earliest slot to `max(its time, until)` and sifts it down. Starting
-/// state (all zeros) is a valid heap, so `clear` is a fill.
+/// earliest slot to `max(its time, until)` with a bottom-up replace-min:
+/// the hole left at the root walks down to a leaf along the smaller
+/// child, one compare per level and none against the new value, then
+/// the new value sifts up from there. Claims release late, so the
+/// sift-up almost always stops at once. The heap holds an odd number of
+/// entries so every inner node has two children: an even `n` gets one
+/// extra `u64::MAX` entry, which reaches the root only when every real
+/// slot also frees at `u64::MAX` and so can never be told apart.
 #[derive(Clone, Debug)]
 pub struct WakeHeap {
-    /// Binary min-heap of per-slot free times.
+    /// Binary min-heap of per-slot free times (plus the pad, if any).
     heap: Vec<u64>,
+    /// Number of real slots.
+    slots: usize,
 }
 
 impl WakeHeap {
@@ -43,7 +51,12 @@ impl WakeHeap {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a resource pool needs at least one slot");
-        WakeHeap { heap: vec![0; n] }
+        let mut heap = WakeHeap {
+            heap: vec![0; n | 1],
+            slots: n,
+        };
+        heap.clear();
+        heap
     }
 
     /// Earliest cycle at/after `t` a slot is available (the heap root).
@@ -56,32 +69,43 @@ impl WakeHeap {
     /// with `max(root, until)` and restores the heap. Mirrors a scanned
     /// pool's argmin-replace exactly (same multiset evolution).
     pub fn occupy(&mut self, until: u64) {
-        self.heap[0] = self.heap[0].max(until);
-        self.sift_down();
+        let heap = &mut self.heap;
+        let v = heap[0].max(until);
+        let n = heap.len();
+        let mut i = 0;
+        let mut l = 1;
+        while l < n {
+            let c = l + usize::from(heap[l + 1] < heap[l]);
+            heap[i] = heap[c];
+            i = c;
+            l = 2 * i + 1;
+        }
+        while i > 0 {
+            let p = (i - 1) / 2;
+            if heap[p] <= v {
+                break;
+            }
+            heap[i] = heap[p];
+            i = p;
+        }
+        heap[i] = v;
     }
 
     /// Frees every slot (pipeline drain).
     pub fn clear(&mut self) {
         self.heap.fill(0);
+        if self.slots < self.heap.len() {
+            self.heap[self.slots] = u64::MAX;
+        }
     }
 
-    fn sift_down(&mut self) {
-        let heap = &mut self.heap;
-        let n = heap.len();
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            if l >= n {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < n && heap[r] < heap[l] { r } else { l };
-            if heap[c] >= heap[i] {
-                break;
-            }
-            heap.swap(i, c);
-            i = c;
-        }
+    /// The pool's free times in ascending order, without the pad.
+    #[cfg(test)]
+    fn sorted_times(&self) -> Vec<u64> {
+        let mut times = self.heap.clone();
+        times.sort_unstable();
+        times.truncate(self.slots);
+        times
     }
 }
 
@@ -138,9 +162,37 @@ mod tests {
         assert_eq!(h.available_at(0), 60);
     }
 
-    /// The PR 5-style pin: the heap must evolve the identical observable
-    /// multiset as the linear-scanned pool it replaces, under adversarial
-    /// interleavings including `until` below the current minimum.
+    /// A top-down replace-root heap: overwrite the root, then sift it
+    /// down with two compares per level.
+    struct SiftDownHeap {
+        heap: Vec<u64>,
+    }
+
+    impl SiftDownHeap {
+        fn occupy(&mut self, until: u64) {
+            let heap = &mut self.heap;
+            heap[0] = heap[0].max(until);
+            let n = heap.len();
+            let mut i = 0;
+            loop {
+                let l = 2 * i + 1;
+                if l >= n {
+                    break;
+                }
+                let r = l + 1;
+                let c = if r < n && heap[r] < heap[l] { r } else { l };
+                if heap[c] >= heap[i] {
+                    break;
+                }
+                heap.swap(i, c);
+                i = c;
+            }
+        }
+    }
+
+    /// The heap must evolve the identical observable multiset as the
+    /// linear-scanned pool it replaced and as the top-down heap, under
+    /// adversarial interleavings including `until` below the minimum.
     #[test]
     fn wake_heap_matches_scanned_slots_reference() {
         let mut seed = 0x1234_5678_9ABC_DEF0u64;
@@ -150,28 +202,30 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for n in [1usize, 2, 8, 32] {
+        // The engine's pools hold 8 (store buffer) and 32 (windows,
+        // LSQ) slots; odd sizes carry no pad.
+        for n in [1usize, 2, 7, 8, 32] {
             let mut heap = WakeHeap::new(n);
             let mut scan = Slots::new(n);
+            let mut top_down = SiftDownHeap { heap: vec![0; n] };
             let mut now = 0u64;
             for step in 0..10_000u64 {
                 let r = rng();
                 now += r % 7;
-                assert_eq!(
-                    heap.available_at(now),
-                    scan.available_at(now),
-                    "n={n} step={step}"
-                );
+                let at = heap.available_at(now);
+                assert_eq!(at, scan.available_at(now), "n={n} step={step}");
+                assert_eq!(at, now.max(top_down.heap[0]), "n={n} step={step}");
                 // Mostly forward releases, occasionally below the min.
                 let until = if r % 13 == 0 { now / 2 } else { now + r % 40 };
                 heap.occupy(until);
                 scan.occupy(until);
+                top_down.occupy(until);
             }
-            let mut a = heap.heap.clone();
             let mut b = scan.free_at.clone();
-            a.sort_unstable();
             b.sort_unstable();
-            assert_eq!(a, b, "multisets diverged for n={n}");
+            assert_eq!(heap.sorted_times(), b, "multisets diverged for n={n}");
+            top_down.heap.sort_unstable();
+            assert_eq!(top_down.heap, b, "multisets diverged for n={n}");
         }
     }
 
@@ -234,9 +288,7 @@ mod tests {
             heap.occupy(20 + k);
             model.occupy(20 + k);
         }
-        let mut a = heap.heap.clone();
-        a.sort_unstable();
-        assert_eq!(a, model.sorted());
+        assert_eq!(heap.sorted_times(), model.sorted());
     }
 
     #[test]
@@ -249,9 +301,13 @@ mod tests {
         for _ in 0..3 {
             heap.occupy(40);
         }
-        let before = heap.heap.clone();
+        let before = heap.sorted_times();
         heap.occupy(7); // far below every release time
-        assert_eq!(heap.heap, before, "an earlier `until` must be a no-op");
+        assert_eq!(
+            heap.sorted_times(),
+            before,
+            "an earlier `until` must be a no-op"
+        );
         assert_eq!(heap.available_at(0), 40);
     }
 
@@ -264,7 +320,7 @@ mod tests {
             heap.occupy(until);
             model.occupy(until);
         }
-        assert_eq!(heap.heap, model.sorted());
+        assert_eq!(heap.sorted_times(), model.sorted());
     }
 
     #[test]
@@ -278,7 +334,7 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for n in [1usize, 2, 3, 8, 17] {
+        for n in [1usize, 2, 3, 8, 17, 32] {
             let mut heap = WakeHeap::new(n);
             let mut model = MultisetRef::new(n);
             let mut now = 0u64;
@@ -300,14 +356,18 @@ mod tests {
                 heap.occupy(until);
                 model.occupy(until);
                 if step % 1_024 == 0 {
-                    let mut a = heap.heap.clone();
-                    a.sort_unstable();
-                    assert_eq!(a, model.sorted(), "n={n} step={step} multiset");
+                    assert_eq!(
+                        heap.sorted_times(),
+                        model.sorted(),
+                        "n={n} step={step} multiset"
+                    );
                 }
             }
-            let mut a = heap.heap.clone();
-            a.sort_unstable();
-            assert_eq!(a, model.sorted(), "final multiset for n={n}");
+            assert_eq!(
+                heap.sorted_times(),
+                model.sorted(),
+                "final multiset for n={n}"
+            );
         }
     }
 
@@ -320,6 +380,27 @@ mod tests {
         assert_eq!(h.available_at(1), 99);
         h.clear();
         assert_eq!(h.available_at(1), 1);
+    }
+
+    #[test]
+    fn cleared_pool_is_reused_like_a_fresh_one() {
+        // After a drain the pool must behave exactly like a new one, pad
+        // included, whatever state the claims left it in.
+        for n in [1usize, 4, 7, 8] {
+            let mut heap = WakeHeap::new(n);
+            for k in 0..3 * n as u64 {
+                heap.occupy(100 + k * 7 % 11);
+            }
+            heap.clear();
+            assert_eq!(heap.sorted_times(), vec![0; n], "n={n}");
+            let mut model = MultisetRef::new(n);
+            for (t, until) in [(0u64, 30u64), (1, 10), (2, 40), (3, 5), (50, 60)] {
+                assert_eq!(heap.available_at(t), model.available_at(t), "n={n}");
+                heap.occupy(until);
+                model.occupy(until);
+            }
+            assert_eq!(heap.sorted_times(), model.sorted(), "n={n}");
+        }
     }
 
     #[test]
