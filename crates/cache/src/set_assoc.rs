@@ -136,7 +136,7 @@ pub struct AccessOutcome {
     pub writeback: Option<u64>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct LineEntry {
     line: u64,
     dirty: bool,
@@ -209,15 +209,10 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// The ways of `line`'s set, most recently used first.
-    fn set(&self, line: u64) -> &[LineEntry] {
+    /// Where `line`'s set sits in `lines`.
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
         let base = (line & self.set_mask) as usize * self.ways;
-        &self.lines[base..base + self.ways]
-    }
-
-    fn set_mut(&mut self, line: u64) -> &mut [LineEntry] {
-        let base = (line & self.set_mask) as usize * self.ways;
-        &mut self.lines[base..base + self.ways]
+        base..base + self.ways
     }
 
     /// Accesses `line`; allocates on miss, possibly evicting the LRU way.
@@ -225,7 +220,8 @@ impl SetAssocCache {
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
         debug_assert_ne!(line, EMPTY.line, "line number reserved for empty ways");
         self.stats.accesses += 1;
-        let set = self.set_mut(line);
+        let span = self.set_of(line);
+        let set = &mut self.lines[span];
         if let Some(pos) = set.iter().position(|e| e.line == line) {
             set[pos].dirty |= is_write;
             set[..=pos].rotate_right(1);
@@ -259,12 +255,13 @@ impl SetAssocCache {
     /// Checks residency without updating LRU state or statistics.
     #[must_use]
     pub fn probe(&self, line: u64) -> bool {
-        self.set(line).iter().any(|e| e.line == line)
+        self.lines[self.set_of(line)].iter().any(|e| e.line == line)
     }
 
     /// Invalidates a line (coherence); returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let set = self.set_mut(line);
+        let span = self.set_of(line);
+        let set = &mut self.lines[span];
         let Some(pos) = set.iter().position(|e| e.line == line) else {
             return false;
         };

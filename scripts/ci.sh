@@ -77,21 +77,34 @@ echo "== perf guard: sweep throughput must beat the 1.9M cycles/sec seed =="
 # engine must never regress below that floor. If the single-worker VM
 # path also clears the seed floor — i.e. the barrier/fork/replay
 # machinery is not the bottleneck — hold the engine to the stricter
-# 2.5M floor it has delivered since sharded VM runs landed.
-cargo run --release --offline -p sharing-market --example bench_sweep -- \
-  --len 10000 --out "$TRACE_TMP/sweep_perf.json"
-CPS="$(grep -o '"cycles_per_sec": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
-  | head -n1 | sed 's/.*: *//')"
-VM_CPS="$(grep -o '"vm_cycles_per_sec_single": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
-  | head -n1 | sed 's/.*: *//')"
+# 2.5M floor it has delivered since sharded VM runs landed. One run on a
+# shared host can land in a slow phase, so the sweep runs three times
+# and the guard judges the median of each figure.
+json_field() {
+  grep -o "\"$1\": *[0-9.e+-]*" "$2" | head -n1 | sed 's/.*: *//'
+}
+median3() {
+  printf '%s\n' "$@" | sort -g | sed -n 2p
+}
+CPS_RUNS=()
+VM_CPS_RUNS=()
+for run in 1 2 3; do
+  cargo run --release --offline -p sharing-market --example bench_sweep -- \
+    --len 10000 --out "$TRACE_TMP/sweep_perf_$run.json"
+  CPS_RUNS+=("$(json_field cycles_per_sec "$TRACE_TMP/sweep_perf_$run.json")")
+  VM_CPS_RUNS+=("$(json_field vm_cycles_per_sec_single "$TRACE_TMP/sweep_perf_$run.json")")
+done
+echo "perf guard samples: cycles/sec ${CPS_RUNS[*]}; sharded 1-worker ${VM_CPS_RUNS[*]}"
+CPS="$(median3 "${CPS_RUNS[@]}")"
+VM_CPS="$(median3 "${VM_CPS_RUNS[@]}")"
 awk -v cps="$CPS" -v vm_cps="$VM_CPS" 'BEGIN {
   floor = 1900000
   if (vm_cps + 0 >= 1900000) floor = 2500000
   if (cps + 0 < floor) {
-    printf "perf guard FAILED: %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
+    printf "perf guard FAILED: median %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
     exit 1
   }
-  printf "perf guard ok: %.2fM cycles/sec (floor %.1fM, sharded 1-worker %.2fM)\n", \
+  printf "perf guard ok: median %.2fM cycles/sec (floor %.1fM, sharded 1-worker median %.2fM)\n", \
     cps / 1e6, floor / 1e6, vm_cps / 1e6
 }'
 
