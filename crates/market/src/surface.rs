@@ -400,6 +400,23 @@ mod tests {
             "every sweep point consults the cache"
         );
         assert_eq!(suite.surface(Benchmark::Hmmer).iter().count(), 72);
+
+        // A warm rebuild on the same cache generates nothing, hits on
+        // every lookup and reproduces the cold build byte for byte.
+        let hits = cache.hits();
+        let warm = SuiteSurfaces::build_subset_with(spec, &benches, &cache, 4);
+        assert_eq!(
+            sharing_json::to_string(&warm),
+            sharing_json::to_string(&suite),
+            "warm rebuild must reproduce the cold build"
+        );
+        assert_eq!(cache.generations(), benches.len() as u64);
+        assert_eq!(cache.misses(), benches.len() as u64);
+        assert_eq!(
+            cache.hits() - hits,
+            (benches.len() * 72) as u64,
+            "every warm lookup hits"
+        );
     }
 
     #[test]

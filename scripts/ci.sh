@@ -71,41 +71,31 @@ for bench in gcc dedup bursty; do
   diff "$TRACE_TMP/run_${bench}_default.json" "$TRACE_TMP/run_${bench}_t4.json"
 done
 
-echo "== perf guard: sweep throughput must beat the 1.9M cycles/sec seed =="
-# A short-trace suite sweep (all 15 benchmarks x 72 shapes). The seed
-# repo measured 1.9M simulated cycles/sec on the standard sweep; the
-# engine must never regress below that floor. If the single-worker VM
-# path also clears the seed floor — i.e. the barrier/fork/replay
-# machinery is not the bottleneck — hold the engine to the stricter
-# 2.5M floor it has delivered since sharded VM runs landed. One run on a
-# shared host can land in a slow phase, so the sweep runs three times
-# and the guard judges the median of each figure.
-json_field() {
-  grep -o "\"$1\": *[0-9.e+-]*" "$2" | head -n1 | sed 's/.*: *//'
-}
-median3() {
-  printf '%s\n' "$@" | sort -g | sed -n 2p
-}
+echo "== perf guard: suite sweep throughput must clear 2.5M cycles/sec =="
+# bench_sweep times one single-worker build of the full suite grid (15
+# benchmarks x 72 shapes, len 10000) on a warm trace cache and prints
+# one JSON line. The seed repo measured 1.9M simulated cycles/sec; the
+# engine is held to a fixed 2.5M floor. One run on a shared host can
+# land in a slow phase, so the sweep runs three times and the guard
+# judges the median.
 CPS_RUNS=()
-VM_CPS_RUNS=()
 for run in 1 2 3; do
-  cargo run --release --offline -p sharing-market --example bench_sweep -- \
-    --len 10000 --out "$TRACE_TMP/sweep_perf_$run.json"
-  CPS_RUNS+=("$(json_field cycles_per_sec "$TRACE_TMP/sweep_perf_$run.json")")
-  VM_CPS_RUNS+=("$(json_field vm_cycles_per_sec_single "$TRACE_TMP/sweep_perf_$run.json")")
+  REPORT="$(cargo run --release --offline -p sharing-market --example bench_sweep)"
+  CPS="$(printf '%s\n' "$REPORT" | sed -n 's/.*"cycles_per_sec":\([0-9][0-9.eE+-]*\).*/\1/p')"
+  if [ -z "$CPS" ]; then
+    echo "perf guard FAILED: run $run report has no numeric \"cycles_per_sec\": $REPORT"
+    exit 1
+  fi
+  CPS_RUNS+=("$CPS")
 done
-echo "perf guard samples: cycles/sec ${CPS_RUNS[*]}; sharded 1-worker ${VM_CPS_RUNS[*]}"
-CPS="$(median3 "${CPS_RUNS[@]}")"
-VM_CPS="$(median3 "${VM_CPS_RUNS[@]}")"
-awk -v cps="$CPS" -v vm_cps="$VM_CPS" 'BEGIN {
-  floor = 1900000
-  if (vm_cps + 0 >= 1900000) floor = 2500000
-  if (cps + 0 < floor) {
-    printf "perf guard FAILED: median %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
+echo "perf guard samples: cycles/sec ${CPS_RUNS[*]}"
+CPS="$(printf '%s\n' "${CPS_RUNS[@]}" | sort -g | sed -n 2p)"
+awk -v cps="$CPS" 'BEGIN {
+  if (cps + 0 < 2500000) {
+    printf "perf guard FAILED: median %.0f cycles/sec < 2.5M/s floor\n", cps
     exit 1
   }
-  printf "perf guard ok: median %.2fM cycles/sec (floor %.1fM, sharded 1-worker median %.2fM)\n", \
-    cps / 1e6, floor / 1e6, vm_cps / 1e6
+  printf "perf guard ok: median %.2fM cycles/sec (floor 2.5M)\n", cps / 1e6
 }'
 
 echo "== multi-node smoke: 2 workers + 1 coordinator, byte-identical sweep =="
