@@ -30,7 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Maximum nesting depth the parser accepts (arrays + objects combined).
 pub const MAX_DEPTH: usize = 128;
@@ -160,6 +162,7 @@ impl Json {
     /// Returns a [`JsonError`] naming the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -278,9 +281,32 @@ impl fmt::Display for Json {
     }
 }
 
+/// One pass over the input: every byte is looked at a bounded number of
+/// times, whatever the shape of the document.
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes, for the byte-wise scanning.
     bytes: &'a [u8],
     pos: usize,
+}
+
+/// Objects up to this many keys are checked for a duplicate by a scan.
+const SCAN_KEYS: usize = 16;
+
+/// Whether `key` is already among `pairs`, in O(1) expected time. Small
+/// objects (every one the protocol sends) are scanned. From [`SCAN_KEYS`]
+/// keys on, `seen` holds the hash of every key so far, and only a repeated
+/// hash (a duplicate, or a 64-bit collision) pays for the scan. The set's
+/// hasher is randomly keyed, so input cannot be built to collide.
+fn is_duplicate(pairs: &[(String, Json)], seen: &mut HashSet<u64>, key: &str) -> bool {
+    if pairs.len() < SCAN_KEYS {
+        return pairs.iter().any(|(k, _)| k == key);
+    }
+    let hasher = seen.hasher().clone();
+    if seen.is_empty() {
+        seen.extend(pairs.iter().map(|(k, _)| hasher.hash_one(k)));
+    }
+    !seen.insert(hasher.hash_one(key)) && pairs.iter().any(|(k, _)| k == key)
 }
 
 impl Parser<'_> {
@@ -354,6 +380,7 @@ impl Parser<'_> {
             Some(b'{') => {
                 self.pos += 1;
                 let mut pairs: Vec<(String, Json)> = Vec::new();
+                let mut seen = HashSet::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
@@ -362,7 +389,7 @@ impl Parser<'_> {
                 loop {
                     self.skip_ws();
                     let key = self.string()?;
-                    if pairs.iter().any(|(k, _)| *k == key) {
+                    if is_duplicate(&pairs, &mut seen, &key) {
                         return Err(self.err("duplicate object key"));
                     }
                     self.skip_ws();
@@ -482,13 +509,21 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked byte exists");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash
+                    // or control byte at once. Both ends sit on an ASCII
+                    // byte (or the end of input) of a `&str`, so the run
+                    // is a whole UTF-8 slice of `text`.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let s = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(s);
                 }
             }
         }

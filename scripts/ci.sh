@@ -148,6 +148,16 @@ grep -q '^ssimd_build_info{' "$TRACE_TMP/fed.txt"
 # merged under the one trace id.
 "$SSIM" submit --addr 127.0.0.1:24117 --benchmark gcc --len 2000 --seed 7 \
   --trace 42 >/dev/null
+# A request line just under the 1 MiB limit, one long string, gets its
+# typed reply well inside the timeout: the JSON parser makes one pass.
+HOSTILE_REPLY=$(timeout 10 bash -c '
+  pad=$(head -c 1040000 /dev/zero | tr "\0" a)
+  exec 3<>/dev/tcp/127.0.0.1/24115
+  printf "{\"type\":\"run\",\"pad\":\"%s\"}\n" "$pad" >&3
+  IFS= read -r reply <&3
+  printf "%s\n" "$reply"')
+grep -q '"code":"bad_request"' <<<"$HOSTILE_REPLY"
+"$SSIM" submit --addr 127.0.0.1:24115 --ping >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24117 --shutdown >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24115 --shutdown >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24116 --shutdown >/dev/null
