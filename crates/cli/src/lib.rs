@@ -406,9 +406,10 @@ worker threads between deterministic barriers (DESIGN.md §14; default
 `--trace-out` writes Chrome trace_event JSON; open it in Perfetto
 (https://ui.perfetto.dev) or chrome://tracing. Simulator spans use
 logical (simulated-cycle) time, so tracing never perturbs results.
-A `serve --trace-out` path ending in `.jsonl` streams spans through a
-bounded-buffer writer instead of dumping at exit (crash-safe; re-wrap
-with `ssim trace-pack`). `ssim submit --trace ID` stamps a distributed
+`serve --trace-out` instead streams every span as it happens, one JSON
+line each, through a bounded-buffer writer (crash-safe; re-wrap with
+`ssim trace-pack`); a path that cannot be created stops the daemon
+from starting. `ssim submit --trace ID` stamps a distributed
 trace id on the job so coordinator dispatch spans and remote worker
 execution spans land in one merged trace under that id."
         .to_string()

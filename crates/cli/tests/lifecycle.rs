@@ -1,6 +1,6 @@
-//! Daemon lifecycle tests against the real `ssimd` binary: pidfile
-//! create/remove, SIGTERM graceful drain, and cache-file integrity when
-//! a drain is killed halfway.
+//! Daemon lifecycle tests against a real `ssim serve` process: pidfile
+//! create/remove, SIGTERM graceful drain, a span stream that survives
+//! SIGKILL, and cache-file integrity when a drain is killed halfway.
 
 use sharing_http::request;
 use sharing_server::ResultCache;
@@ -15,11 +15,12 @@ fn unique_path(stem: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ssimd-test-{}-{stem}-{n}", std::process::id()))
 }
 
-/// Spawns `ssimd` with the given extra flags and returns the child plus
-/// the TCP and HTTP addresses parsed from its startup log.
+/// Spawns `ssim serve` with the given extra flags and returns the child
+/// plus the TCP and HTTP addresses parsed from its startup log.
 fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ssimd"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ssim"));
     cmd.args([
+        "serve",
         "--addr",
         "127.0.0.1:0",
         "--http",
@@ -30,7 +31,7 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
     .args(extra)
     .stdout(Stdio::null())
     .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn ssimd");
+    let mut child = cmd.spawn().expect("spawn ssim serve");
     let stderr = child.stderr.take().expect("stderr piped");
     let mut reader = BufReader::new(stderr);
     let mut tcp = None;
@@ -39,9 +40,9 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read daemon stderr");
         assert_ne!(n, 0, "daemon exited before announcing its addresses");
-        if let Some(rest) = line.strip_prefix("ssimd: http listening on ") {
+        if let Some(rest) = line.strip_prefix("ssim serve: http listening on ") {
             http = Some(rest.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("ssimd: listening on ") {
+        } else if let Some(rest) = line.strip_prefix("ssim serve: listening on ") {
             tcp = Some(rest.split_whitespace().next().unwrap().to_string());
         }
     }
@@ -122,7 +123,6 @@ fn pidfile_is_created_and_removed_by_sigterm_drain() {
 
 #[test]
 fn sigkill_leaves_the_streamed_span_file_recoverable() {
-    // The `.jsonl` suffix is what opts the daemon into streaming.
     let trace_file = unique_path("trace").with_extension("jsonl");
     let trace_arg = trace_file.to_str().unwrap().to_string();
     let (mut child, tcp, _http) = spawn_daemon(&["--trace-out", &trace_arg]);

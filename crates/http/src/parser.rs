@@ -180,7 +180,9 @@ impl RequestParser {
             return Ok(None);
         }
         let Some((head_end, body_start)) = find_head_end(&self.buf) else {
-            if self.buf.len() > self.limits.max_head_bytes {
+            // A head that fits the limit can still be missing the last
+            // byte of its `\n\r\n` terminator, one past the limit.
+            if self.buf.len() > self.limits.max_head_bytes + 1 {
                 return Err(HttpError::TooLarge(format!(
                     "request head exceeds {} bytes",
                     self.limits.max_head_bytes
@@ -446,6 +448,23 @@ mod tests {
         p.feed(&[b'A'; 100]);
         let err = p.next_request().unwrap_err();
         assert_eq!(err.status(), 413);
+    }
+
+    #[test]
+    fn head_at_the_limit_parses_byte_at_a_time() {
+        // The head ends exactly at the limit; its `\n\r\n` terminator
+        // reaches one byte past it.
+        let raw = b"GET / HTTP/1.1\r\nX: aaaa\r\n\r\n";
+        let mut p = RequestParser::new(Limits {
+            max_head_bytes: raw.len() - 2,
+            max_body_bytes: 0,
+        });
+        for b in &raw[..raw.len() - 1] {
+            p.feed(&[*b]);
+            assert!(p.next_request().unwrap().is_none());
+        }
+        p.feed(&raw[raw.len() - 1..]);
+        assert_eq!(p.next_request().unwrap().unwrap().path, "/");
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   counters, exposed as Prometheus `*_bucket`/`*_sum`/`*_count`
 //!   families by [`PromWriter::histogram`](prom::PromWriter::histogram);
 //! * [`sink`] — [`SpanSink`], a bounded-buffer JSONL writer thread a
-//!   [`TraceBuffer`] can stream into (one Chrome event per line,
-//!   flushed per line), so long daemon runs and killed processes still
-//!   yield usable traces; overflow drops are counted in
+//!   daemon streams its spans into (one Chrome event per line, flushed
+//!   per line), so long daemon runs and killed processes still yield
+//!   usable traces; overflow drops are counted in
 //!   `obs_spans_dropped_total`, never blocking the emitter.
 //!
 //! # The two-clock model

@@ -1,10 +1,12 @@
 //! Span events and the caller-owned trace buffer.
 //!
 //! A [`TraceBuffer`] is explicit state, not a global: the CLI owns one
-//! per invocation, ssimd owns one per daemon. That keeps traces scoped
-//! to the run that produced them and keeps the deterministic simulators
-//! honest — they only ever *append* events with logical-cycle
-//! timestamps and never read a clock.
+//! per invocation and writes it out once with
+//! [`TraceBuffer::save_chrome`]. That keeps traces scoped to the run that
+//! produced them and keeps the deterministic simulators honest — they
+//! only ever *append* events with logical-cycle timestamps and never
+//! read a clock. A long-lived daemon streams through a
+//! [`SpanSink`](crate::SpanSink) instead of buffering.
 
 use sharing_json::Json;
 use std::sync::Mutex;
@@ -169,9 +171,6 @@ impl SpanEvent {
 pub struct TraceBuffer {
     base: Instant,
     events: Mutex<Vec<SpanEvent>>,
-    /// When attached, events stream to the sink instead of buffering —
-    /// bounded memory for arbitrarily long daemon runs.
-    sink: Mutex<Option<crate::sink::SpanSink>>,
 }
 
 impl Default for TraceBuffer {
@@ -187,41 +186,6 @@ impl TraceBuffer {
         TraceBuffer {
             base: Instant::now(),
             events: Mutex::new(Vec::new()),
-            sink: Mutex::new(None),
-        }
-    }
-
-    /// Switches the buffer to streaming mode: every subsequent event
-    /// goes to `sink` (one JSONL line each) instead of accumulating in
-    /// RAM. Events already buffered are flushed to the sink first so a
-    /// daemon that attaches at startup loses nothing.
-    pub fn attach_sink(&self, sink: crate::sink::SpanSink) {
-        let backlog: Vec<SpanEvent> = {
-            let mut events = self.events.lock().expect("trace lock");
-            std::mem::take(&mut *events)
-        };
-        for ev in backlog {
-            sink.emit(ev);
-        }
-        *self.sink.lock().expect("sink lock") = Some(sink);
-    }
-
-    /// Whether a streaming sink is attached.
-    #[must_use]
-    pub fn has_sink(&self) -> bool {
-        self.sink.lock().expect("sink lock").is_some()
-    }
-
-    /// Detaches and closes the streaming sink, flushing the file. A
-    /// no-op when no sink is attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error the writer thread hit.
-    pub fn close_sink(&self) -> std::io::Result<()> {
-        match self.sink.lock().expect("sink lock").take() {
-            Some(sink) => sink.close(),
-            None => Ok(()),
         }
     }
 
@@ -231,17 +195,10 @@ impl TraceBuffer {
         u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// Appends one event — or streams it when a sink is attached. A
-    /// no-op without the `enabled` feature.
+    /// Appends one event. A no-op without the `enabled` feature.
     pub fn record(&self, ev: SpanEvent) {
         #[cfg(feature = "enabled")]
-        {
-            if let Some(sink) = self.sink.lock().expect("sink lock").as_ref() {
-                sink.emit(ev);
-                return;
-            }
-            self.events.lock().expect("trace lock").push(ev);
-        }
+        self.events.lock().expect("trace lock").push(ev);
         #[cfg(not(feature = "enabled"))]
         let _ = ev;
     }
@@ -434,26 +391,5 @@ mod tests {
             }
         }
         assert_eq!(SpanEvent::from_json(&odd).unwrap().cat, "remote");
-    }
-
-    #[test]
-    #[cfg(feature = "enabled")]
-    fn attached_sink_streams_instead_of_buffering() {
-        let path = std::env::temp_dir()
-            .join(format!("obs-span-sink-{}.jsonl", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let buf = TraceBuffer::new();
-        buf.record_logical("buffered-before", "test", 0, 0, 1, Vec::new());
-        buf.attach_sink(crate::sink::SpanSink::create(&path).unwrap());
-        assert!(buf.has_sink());
-        buf.record_logical("streamed-after", "test", 0, 1, 1, Vec::new());
-        assert!(buf.is_empty(), "streaming mode must not grow the buffer");
-        buf.close_sink().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("buffered-before"), "backlog flushed: {text}");
-        assert!(text.contains("streamed-after"));
-        assert_eq!(text.lines().count(), 2);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -26,9 +26,10 @@
 use crate::client::Client;
 use crate::metrics::Metrics;
 use crate::protocol::{Envelope, ErrorCode, Job, Request, RunJob, ServerError, PROTO_VERSION};
+use crate::server::TraceOut;
 use sharing_chaos::IoFault;
 use sharing_json::Json;
-use sharing_obs::{PromWriter, SpanEvent, TraceBuffer};
+use sharing_obs::{PromWriter, SpanEvent};
 use sharing_trace::Rng64;
 use std::collections::VecDeque;
 use std::io::{Error, ErrorKind};
@@ -252,11 +253,11 @@ impl WorkerPool {
     /// trace id: the worker answers with its execution spans ahead of
     /// the result, and those spans land in `trace` on this worker's
     /// relay track.
-    pub fn dispatch_one(
+    pub(crate) fn dispatch_one(
         &self,
         job: &Job,
         trace_id: Option<u64>,
-        trace: &TraceBuffer,
+        trace: &TraceOut,
     ) -> Result<String, ServerError> {
         let Some(expect) = job.result_type() else {
             // Grid jobs fan out point-by-point; see `dispatch_grid`.
@@ -314,12 +315,12 @@ impl WorkerPool {
     ///
     /// A fatal worker error propagates; if every worker dies with points
     /// outstanding, [`ErrorCode::WorkerUnavailable`].
-    pub fn dispatch_grid(
+    pub(crate) fn dispatch_grid(
         &self,
         jobs: &[RunJob],
         cache: &crate::cache::ResultCache,
         trace_id: Option<u64>,
-        trace: &TraceBuffer,
+        trace: &TraceOut,
         mut emit: impl FnMut(usize, &str, bool) -> bool,
     ) -> Result<u64, ServerError> {
         let n = jobs.len();
@@ -401,7 +402,7 @@ impl WorkerPool {
         jobs: &[RunJob],
         cache: &crate::cache::ResultCache,
         trace_id: Option<u64>,
-        trace: &TraceBuffer,
+        trace: &TraceOut,
         shared: &Mutex<GridState>,
         cv: &Condvar,
     ) {
@@ -469,7 +470,7 @@ impl WorkerPool {
         worker: &RemoteWorker,
         job: &RunJob,
         trace_id: Option<u64>,
-        trace: &TraceBuffer,
+        trace: &TraceOut,
     ) -> Result<String, TryError> {
         let env = job_envelope(&Job::Run(job.clone()), trace_id);
         let mut last: Option<TryError> = None;
@@ -500,7 +501,7 @@ impl WorkerPool {
         worker: &RemoteWorker,
         env: &Envelope,
         expect: &str,
-        trace: &TraceBuffer,
+        trace: &TraceOut,
     ) -> Result<String, TryError> {
         let broken = |addr: &str, e: &dyn std::fmt::Display| {
             TryError::Broken(ServerError::new(
@@ -523,22 +524,28 @@ impl WorkerPool {
         let start_us = trace.now_us();
         let t0 = Instant::now();
         // A traced worker answers with `"spans"` lines (its execution
-        // spans for this job) *before* the final reply line; collect
-        // them so the final line splices exactly as before.
-        let mut span_lines: Vec<String> = Vec::new();
+        // spans for this job) *before* the final reply line; keep them
+        // parsed so the final line splices exactly as before. Each line
+        // is parsed once, here.
+        let mut span_batches: Vec<Json> = Vec::new();
         let exchanged = {
             let client = conn.as_mut().expect("just connected");
             client.send(env).and_then(|()| loop {
                 let line = client.recv_line()?;
-                if span_lines.len() < MAX_SPAN_LINES && is_spans_line(&line) {
-                    span_lines.push(line);
-                    continue;
+                let parsed = Json::parse(&line);
+                match parsed {
+                    Ok(v)
+                        if span_batches.len() < MAX_SPAN_LINES
+                            && v.get("type").and_then(Json::as_str) == Some("spans") =>
+                    {
+                        span_batches.push(v);
+                    }
+                    _ => break Ok((line, parsed)),
                 }
-                break Ok(line);
             })
         };
-        let line = match exchanged {
-            Ok(line) => line,
+        let (line, parsed) = match exchanged {
+            Ok(reply) => reply,
             Err(e) => {
                 // The connection is desynced or gone; force a reconnect.
                 *conn = None;
@@ -547,7 +554,7 @@ impl WorkerPool {
         };
         let exec_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         drop(conn);
-        let v = Json::parse(&line).map_err(|e| broken(&worker.addr, &e))?;
+        let v = parsed.map_err(|e| broken(&worker.addr, &e))?;
         let outcome = if let Some(err) = ServerError::from_reply(&v) {
             worker.failures.fetch_add(1, Ordering::Relaxed);
             match err.code {
@@ -576,22 +583,24 @@ impl WorkerPool {
                 }
             }
         };
-        let mut args = vec![
-            ("worker".to_string(), Json::Str(worker.addr.clone())),
-            ("ok".to_string(), Json::Bool(outcome.is_ok())),
-        ];
-        if let Some(t) = env.trace {
-            args.push(("trace".to_string(), Json::Int(i128::from(t))));
-        }
-        trace.record(SpanEvent::wall(
-            format!("dispatch {expect}"),
-            "dispatch",
-            DISPATCH_TRACK_BASE + worker.index as u64,
-            start_us,
-            exec_us,
-            args,
-        ));
-        relay_worker_spans(worker, &span_lines, start_us, trace);
+        trace.record(|| {
+            let mut args = vec![
+                ("worker".to_string(), Json::Str(worker.addr.clone())),
+                ("ok".to_string(), Json::Bool(outcome.is_ok())),
+            ];
+            if let Some(t) = env.trace {
+                args.push(("trace".to_string(), Json::Int(i128::from(t))));
+            }
+            SpanEvent::wall(
+                format!("dispatch {expect}"),
+                "dispatch",
+                DISPATCH_TRACK_BASE + worker.index as u64,
+                start_us,
+                exec_us,
+                args,
+            )
+        });
+        relay_worker_spans(worker, &span_batches, start_us, trace);
         outcome
     }
 
@@ -723,16 +732,6 @@ fn job_envelope(job: &Job, trace_id: Option<u64>) -> Envelope {
     }
 }
 
-/// Whether a reply line is a `"spans"` batch (a traced worker sends
-/// these ahead of its final reply).
-fn is_spans_line(line: &str) -> bool {
-    Json::parse(line)
-        .ok()
-        .and_then(|v| v.get("type").and_then(Json::as_str).map(str::to_string))
-        .as_deref()
-        == Some("spans")
-}
-
 /// Re-records the execution spans a worker returned with its reply onto
 /// this worker's relay track. Worker timestamps are measured against the
 /// *worker's* trace epoch, which the coordinator cannot translate, so
@@ -740,13 +739,12 @@ fn is_spans_line(line: &str) -> bool {
 /// carried it — durations (the honest part) are preserved verbatim.
 fn relay_worker_spans(
     worker: &RemoteWorker,
-    span_lines: &[String],
+    span_batches: &[Json],
     start_us: u64,
-    trace: &TraceBuffer,
+    trace: &TraceOut,
 ) {
-    for line in span_lines {
-        let Ok(v) = Json::parse(line) else { continue };
-        let Some(spans) = v.get("spans").and_then(Json::as_arr) else {
+    for batch in span_batches {
+        let Some(spans) = batch.get("spans").and_then(Json::as_arr) else {
             continue;
         };
         for sv in spans {
@@ -757,7 +755,7 @@ fn relay_worker_spans(
             ev.track = WORKER_TRACK_BASE + worker.index as u64;
             ev.args
                 .push(("worker".to_string(), Json::Str(worker.addr.clone())));
-            trace.record(ev);
+            trace.record(|| ev);
         }
     }
 }

@@ -24,14 +24,17 @@
 //! * [`metrics`] — queue depth, cache hit rate, worker utilization,
 //!   per-kind completion counters, and p50/p99 queue-wait / execute /
 //!   end-to-end latency, served as JSON by `stats` and as Prometheus
-//!   text by `metrics`; per-job wall-clock spans land in a Chrome trace
-//!   written at shutdown when `ServerConfig::trace_path` is set;
+//!   text by `metrics`; per-job wall-clock spans stream to a JSONL
+//!   trace file when `ServerConfig::trace_path` is set;
 //! * [`client`] — a blocking client used by `ssim submit` and the tests;
 //!   all job kinds go through one [`Client::submit`] door;
 //! * [`dispatch`] — coordinator mode: `ServerConfig::remote_workers`
 //!   turns the daemon into a front-end that fans jobs out to remote
 //!   worker daemons with health pings, per-job timeouts, and bounded
 //!   retry/re-queue, while results stay byte-identical to single-node.
+//!
+//! `ssim serve` (crate `sharing-ssim`) is the command that runs the
+//! daemon; this crate has no binary of its own.
 //!
 //! # Example
 //!

@@ -42,7 +42,7 @@ use crate::queue::{JobQueue, PushError};
 use sharing_core::VCoreShape;
 use sharing_json::Json;
 use sharing_market::{optimize, PerfSurface};
-use sharing_obs::{SpanEvent, TraceBuffer};
+use sharing_obs::{SpanEvent, SpanSink};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,14 +66,14 @@ pub struct ServerConfig {
     /// saved back on graceful shutdown, so cached results (and their
     /// byte-identical replays) survive daemon restarts.
     pub cache_path: Option<String>,
-    /// When set, a trace of every job (per-worker wall-clock spans with
-    /// queue-wait and execute timings) is written here. A path ending in
-    /// `.jsonl` **streams**: spans append through a bounded-buffer
-    /// writer thread as they happen, so long daemon runs stay bounded in
-    /// memory and a SIGKILL still leaves every completed line on disk
-    /// (re-wrap with `ssim trace-pack` / [`sharing_obs::jsonl_to_chrome`]).
-    /// Any other path keeps the legacy behaviour: one Chrome-JSON dump
-    /// on graceful shutdown.
+    /// When set, every job's spans (per-worker wall-clock spans with
+    /// queue-wait and execute timings, plus dispatch spans in
+    /// coordinator mode) stream here as JSON Lines, one Chrome event per
+    /// line, through a bounded-buffer writer thread. Memory stays
+    /// bounded however long the daemon runs, and a SIGKILL still leaves
+    /// every completed line on disk; re-wrap with `ssim trace-pack` /
+    /// [`sharing_obs::jsonl_to_chrome`]. Unset, the daemon keeps no
+    /// spans at all.
     pub trace_path: Option<String>,
     /// Remote worker daemon addresses. Non-empty turns this daemon into
     /// a coordinator: jobs dispatch to these workers instead of the
@@ -125,14 +125,57 @@ pub(crate) struct Queued {
     pub(crate) enqueued: Instant,
 }
 
+/// The daemon's span stream: wall timestamps in microseconds since one
+/// epoch (the daemon's start), and the `--trace-out` writer when one is
+/// open. Traced jobs' `"spans"` reply lines read the epoch whether or
+/// not a file is written; without a file no span is built or kept.
+pub(crate) struct TraceOut {
+    epoch: Instant,
+    sink: Mutex<Option<SpanSink>>,
+}
+
+impl TraceOut {
+    fn open(path: Option<&str>) -> std::io::Result<TraceOut> {
+        let sink = path
+            .map(|p| {
+                SpanSink::create(p)
+                    .map_err(|e| std::io::Error::new(e.kind(), format!("trace file {p}: {e}")))
+            })
+            .transpose()?;
+        Ok(TraceOut {
+            epoch: Instant::now(),
+            sink: Mutex::new(sink),
+        })
+    }
+
+    /// Microseconds of wall time since the daemon started.
+    pub(crate) fn now_us(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Streams the span `make` builds; `make` runs only while a trace
+    /// file is open.
+    pub(crate) fn record(&self, make: impl FnOnce() -> SpanEvent) {
+        if let Some(sink) = self.sink.lock().expect("trace sink lock").as_ref() {
+            sink.emit(make());
+        }
+    }
+
+    /// Drains the writer and flushes the file; later spans are dropped.
+    fn close(&self) {
+        if let Some(sink) = self.sink.lock().expect("trace sink lock").take() {
+            let _ = sink.close();
+        }
+    }
+}
+
 /// Shared daemon state.
 pub(crate) struct State {
     pub(crate) queue: JobQueue<Queued>,
     pub(crate) cache: ResultCache,
     cache_path: Option<String>,
     pub(crate) metrics: Arc<Metrics>,
-    trace: TraceBuffer,
-    trace_path: Option<String>,
+    trace: TraceOut,
     stopping: AtomicBool,
     /// Set the moment a shutdown begins, *before* the drain completes,
     /// so `GET /health` flips to 503 while in-flight jobs finish.
@@ -146,14 +189,18 @@ pub(crate) struct State {
 }
 
 impl State {
-    fn new(cfg: &ServerConfig, metrics: Arc<Metrics>, pool: Option<Arc<WorkerPool>>) -> State {
+    fn new(
+        cfg: &ServerConfig,
+        trace: TraceOut,
+        metrics: Arc<Metrics>,
+        pool: Option<Arc<WorkerPool>>,
+    ) -> State {
         State {
             queue: JobQueue::new(cfg.queue_capacity),
             cache: ResultCache::new(cfg.cache_capacity),
             cache_path: cfg.cache_path.clone(),
             metrics,
-            trace: TraceBuffer::new(),
-            trace_path: cfg.trace_path.clone(),
+            trace,
             stopping: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             jobs: JobsTable::new(),
@@ -213,9 +260,13 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket bind errors, and in coordinator mode any
-    /// unreachable or protocol-mismatched worker.
+    /// Propagates a trace file that cannot be created and socket bind
+    /// errors, and in coordinator mode any unreachable or
+    /// protocol-mismatched worker.
     pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+        // The trace file opens first, so a bad `--trace-out` path fails
+        // startup before anything binds or spawns.
+        let trace = TraceOut::open(cfg.trace_path.as_deref())?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let local = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new(cfg.workers));
@@ -233,21 +284,7 @@ impl Server {
                 Arc::clone(&metrics),
             )?)
         };
-        let state = Arc::new(State::new(&cfg, metrics, pool));
-        if let Some(path) = &state.trace_path {
-            // Streaming mode: spans hit disk as they happen instead of
-            // accumulating until a (possibly never-reached) graceful
-            // shutdown. Attached before the workers spawn so no span is
-            // lost to the buffered/streamed transition.
-            if path.ends_with(".jsonl") {
-                match sharing_obs::SpanSink::create(path) {
-                    Ok(sink) => state.trace.attach_sink(sink),
-                    Err(e) => {
-                        eprintln!("ssimd: trace sink {path}: {e}; falling back to exit dump");
-                    }
-                }
-            }
-        }
+        let state = Arc::new(State::new(&cfg, trace, metrics, pool));
         if let Some(path) = &state.cache_path {
             // An armed corrupt_cache_file rule mangles the persisted
             // bytes here, before we trust them.
@@ -366,19 +403,13 @@ fn initiate_shutdown(state: &State, local: SocketAddr) {
     state.queue.wait_drained();
     if !state.stopping.swap(true, Ordering::SeqCst) {
         // Exactly-once on the first shutdown path: persist the cache and
-        // the job trace (all jobs have drained, so both are quiescent),
-        // stop the dispatch pool's health thread, then kick the listener
-        // out of accept() with a throwaway connection.
+        // flush the span stream (all jobs have drained, so both are
+        // quiescent), stop the dispatch pool's health thread, then kick
+        // the listener out of accept() with a throwaway connection.
         if let Some(path) = &state.cache_path {
             let _ = state.cache.save_to_file(path);
         }
-        if state.trace.has_sink() {
-            // Streaming mode: everything is already on disk; this drains
-            // the writer and flushes the final lines.
-            let _ = state.trace.close_sink();
-        } else if let Some(path) = &state.trace_path {
-            let _ = state.trace.save_chrome(path);
-        }
+        state.trace.close();
         if let Some(pool) = &state.pool {
             pool.close();
         }
@@ -632,9 +663,9 @@ struct JobReport {
     ok: bool,
 }
 
-/// Records one job's wall-clock span (this worker's track) with its
+/// Streams one job's wall-clock span (this worker's track) with its
 /// structured record: request id, kind, queue wait, execute time, and
-/// cache outcome.
+/// cache outcome. Nothing is built without a trace file.
 #[allow(clippy::too_many_arguments)]
 fn observe_job(
     state: &State,
@@ -645,33 +676,35 @@ fn observe_job(
     queue_wait_us: u64,
     exec_us: u64,
 ) {
-    let mut args = vec![
-        ("kind".to_string(), Json::Str(report.class.name().into())),
-        ("units".to_string(), Json::Int(i128::from(report.units))),
-        (
-            "queue_wait_us".to_string(),
-            Json::Int(i128::from(queue_wait_us)),
-        ),
-        ("exec_us".to_string(), Json::Int(i128::from(exec_us))),
-        ("ok".to_string(), Json::Bool(report.ok)),
-    ];
-    if let Some(id) = job.id {
-        args.push(("id".to_string(), Json::Int(i128::from(id))));
-    }
-    if let Some(trace_id) = job.trace {
-        args.push(("trace".to_string(), Json::Int(i128::from(trace_id))));
-    }
-    if let Some(cached) = report.cached {
-        args.push(("cached".to_string(), Json::Bool(cached)));
-    }
-    state.trace.record(SpanEvent::wall(
-        format!("{} job", report.class.name()),
-        "ssimd",
-        track,
-        start_us,
-        exec_us,
-        args,
-    ));
+    state.trace.record(|| {
+        let mut args = vec![
+            ("kind".to_string(), Json::Str(report.class.name().into())),
+            ("units".to_string(), Json::Int(i128::from(report.units))),
+            (
+                "queue_wait_us".to_string(),
+                Json::Int(i128::from(queue_wait_us)),
+            ),
+            ("exec_us".to_string(), Json::Int(i128::from(exec_us))),
+            ("ok".to_string(), Json::Bool(report.ok)),
+        ];
+        if let Some(id) = job.id {
+            args.push(("id".to_string(), Json::Int(i128::from(id))));
+        }
+        if let Some(trace_id) = job.trace {
+            args.push(("trace".to_string(), Json::Int(i128::from(trace_id))));
+        }
+        if let Some(cached) = report.cached {
+            args.push(("cached".to_string(), Json::Bool(cached)));
+        }
+        SpanEvent::wall(
+            format!("{} job", report.class.name()),
+            "ssimd",
+            track,
+            start_us,
+            exec_us,
+            args,
+        )
+    });
 }
 
 /// Extracts IPC from a serialized `SimResult` payload.
@@ -913,7 +946,12 @@ mod tests {
             cache_capacity: 16,
             ..ServerConfig::default()
         };
-        State::new(&cfg, Arc::new(Metrics::new(1)), None)
+        State::new(
+            &cfg,
+            TraceOut::open(None).unwrap(),
+            Arc::new(Metrics::new(1)),
+            None,
+        )
     }
 
     fn run(len: usize, seed: u64) -> Job {

@@ -125,6 +125,7 @@ fn hello_negotiates_and_future_protos_are_refused_with_a_typed_code() {
 fn metrics_request_returns_prometheus_text_and_trace_lands_on_shutdown() {
     let dir = std::env::temp_dir().join(format!("ssimd-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // Not a `.jsonl` name: every `trace_path` streams, whatever its suffix.
     let trace_path = dir.join("jobs.trace.json").to_string_lossy().into_owned();
     let handle = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -190,9 +191,12 @@ fn metrics_request_returns_prometheus_text_and_trace_lands_on_shutdown() {
         "{text}"
     );
 
-    // Graceful shutdown writes the per-job Chrome trace.
+    // Graceful shutdown flushes the per-job span stream; every line is
+    // a complete event, and the stream packs into a Chrome trace.
     handle.stop();
-    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let stream = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let (trace, skipped) = sharing_obs::jsonl_to_chrome(&stream);
+    assert_eq!(skipped, 0, "{stream}");
     let v = Json::parse(&trace).expect("trace is valid JSON");
     let events = v
         .get("traceEvents")
@@ -224,6 +228,28 @@ fn metrics_request_returns_prometheus_text_and_trace_lands_on_shutdown() {
         "the warm run span marks the cache hit"
     );
     std::fs::remove_file(&trace_path).ok();
+}
+
+#[test]
+fn start_fails_when_the_trace_file_cannot_be_created() {
+    let missing = std::env::temp_dir()
+        .join(format!("ssimd-no-such-dir-{}", std::process::id()))
+        .join("x.jsonl")
+        .to_string_lossy()
+        .into_owned();
+    let err = match Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        trace_path: Some(missing.clone()),
+        ..ServerConfig::default()
+    }) {
+        Ok(handle) => {
+            handle.stop();
+            panic!("a trace path in a missing directory must fail startup");
+        }
+        Err(e) => e,
+    };
+    assert!(err.to_string().contains(&missing), "{err}");
 }
 
 #[test]

@@ -98,6 +98,17 @@ awk -v cps="$CPS" 'BEGIN {
   printf "perf guard ok: median %.2fM cycles/sec (floor 2.5M)\n", cps / 1e6
 }'
 
+echo "== serve --trace-out: an uncreatable trace file fails startup =="
+# Exit non-zero at once; 124 would mean timeout had to stop a daemon
+# that came up without its trace.
+status=0
+timeout 10 "$SSIM" serve --addr 127.0.0.1:0 \
+  --trace-out "$TRACE_TMP/missing/x.jsonl" 2>/dev/null || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+  echo "serve with an uncreatable trace file exited $status"
+  exit 1
+fi
+
 echo "== multi-node smoke: 2 workers + 1 coordinator, byte-identical sweep =="
 # The smoke daemons bind fixed ports 24115-24119, below Linux's ephemeral
 # range (32768-60999): a port in that range can be held by a client
