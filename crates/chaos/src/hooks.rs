@@ -2,9 +2,7 @@
 //!
 //! Seams (dispatch exchanges, connects, queue admission, cache reload,
 //! HTTP accept/read) ask the [`ChaosHooks`] singleton what to do. When
-//! no plan is armed the answer is a single relaxed atomic load; when
-//! the crate is built without the `enabled` feature every method is an
-//! inline no-op and the seams cost nothing.
+//! no plan is armed the answer is a single relaxed atomic load.
 //!
 //! Determinism contract: each rule owns a call counter per armed plan.
 //! A seam call that matches a rule bumps that counter and asks
@@ -15,6 +13,9 @@
 //! it diffs cleanly across runs.
 
 use crate::plan::{FaultKind, FaultPlan};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Environment variable holding an inline fault-plan JSON; a daemon
 /// that calls [`ChaosHooks::arm_from_env`] arms itself from it.
@@ -70,488 +71,360 @@ impl Injection {
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use real::{hooks, ChaosHooks};
+/// Counter bumped once per injection regardless of kind.
+const TOTAL_COUNTER: &str = "chaos_injections_total";
 
-#[cfg(not(feature = "enabled"))]
-pub use stub::{hooks, ChaosHooks};
+/// Per-plan armed state: the plan, one call counter and one window
+/// deadline per rule, and the injection log.
+struct Armed {
+    plan: FaultPlan,
+    counters: Vec<AtomicU64>,
+    windows: Vec<Mutex<Option<Instant>>>,
+    log: Mutex<Vec<Injection>>,
+}
 
-#[cfg(feature = "enabled")]
-mod real {
-    use super::{FaultKind, FaultPlan, Injection, IoFault, PLAN_ENV, SCHEDULE_ENV};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
-
-    /// Counter bumped once per injection regardless of kind.
-    const TOTAL_COUNTER: &str = "chaos_injections_total";
-
-    /// Per-plan armed state: the plan, one call counter and one window
-    /// deadline per rule, and the injection log.
-    struct Armed {
-        plan: FaultPlan,
-        counters: Vec<AtomicU64>,
-        windows: Vec<Mutex<Option<Instant>>>,
-        log: Mutex<Vec<Injection>>,
+impl Armed {
+    fn new(plan: FaultPlan) -> Armed {
+        let n = plan.rules.len();
+        Armed {
+            plan,
+            counters: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            windows: (0..n).map(|_| Mutex::new(None)).collect(),
+            log: Mutex::new(Vec::new()),
+        }
     }
 
-    impl Armed {
-        fn new(plan: FaultPlan) -> Armed {
-            let n = plan.rules.len();
-            Armed {
-                plan,
-                counters: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                windows: (0..n).map(|_| Mutex::new(None)).collect(),
-                log: Mutex::new(Vec::new()),
+    /// Bumps rule `i`'s matching-call counter, returning the
+    /// 1-indexed call number.
+    fn bump(&self, i: usize) -> u64 {
+        self.counters[i].fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn record(&self, i: usize, n: u64, ctx: &str) {
+        let rule = &self.plan.rules[i];
+        sharing_obs::counter(rule.kind.counter_name()).inc();
+        sharing_obs::counter(TOTAL_COUNTER).inc();
+        self.log.lock().unwrap().push(Injection {
+            rule: i,
+            n,
+            kind: rule.kind,
+            target: rule.target.clone(),
+            ctx: ctx.to_string(),
+        });
+    }
+
+    /// Whether rule `i`'s window is open right now.
+    fn window_open(&self, i: usize) -> bool {
+        let mut w = self.windows[i].lock().unwrap();
+        match *w {
+            Some(deadline) if Instant::now() < deadline => true,
+            Some(_) => {
+                *w = None;
+                false
             }
-        }
-
-        /// Bumps rule `i`'s matching-call counter, returning the
-        /// 1-indexed call number.
-        fn bump(&self, i: usize) -> u64 {
-            self.counters[i].fetch_add(1, Ordering::Relaxed) + 1
-        }
-
-        fn record(&self, i: usize, n: u64, ctx: &str) {
-            let rule = &self.plan.rules[i];
-            sharing_obs::counter(rule.kind.counter_name()).inc();
-            sharing_obs::counter(TOTAL_COUNTER).inc();
-            self.log.lock().unwrap().push(Injection {
-                rule: i,
-                n,
-                kind: rule.kind,
-                target: rule.target.clone(),
-                ctx: ctx.to_string(),
-            });
-        }
-
-        /// Whether rule `i`'s window is open right now.
-        fn window_open(&self, i: usize) -> bool {
-            let mut w = self.windows[i].lock().unwrap();
-            match *w {
-                Some(deadline) if Instant::now() < deadline => true,
-                Some(_) => {
-                    *w = None;
-                    false
-                }
-                None => false,
-            }
-        }
-
-        fn open_window(&self, i: usize) {
-            let deadline = Instant::now() + self.plan.rules[i].duration();
-            *self.windows[i].lock().unwrap() = Some(deadline);
+            None => false,
         }
     }
 
-    /// The process-global chaos handle. Obtain it with [`hooks()`];
-    /// there is exactly one per process, like the sharing-obs registry.
-    pub struct ChaosHooks {
-        on: AtomicBool,
-        state: Mutex<Option<Arc<Armed>>>,
+    fn open_window(&self, i: usize) {
+        let deadline = Instant::now() + self.plan.rules[i].duration();
+        *self.windows[i].lock().unwrap() = Some(deadline);
+    }
+}
+
+/// The process-global chaos handle. Obtain it with [`hooks()`];
+/// there is exactly one per process, like the sharing-obs registry.
+pub struct ChaosHooks {
+    on: AtomicBool,
+    state: Mutex<Option<Arc<Armed>>>,
+}
+
+static HOOKS: ChaosHooks = ChaosHooks {
+    on: AtomicBool::new(false),
+    state: Mutex::new(None),
+};
+
+/// The process-global [`ChaosHooks`] singleton.
+#[must_use]
+pub fn hooks() -> &'static ChaosHooks {
+    &HOOKS
+}
+
+impl ChaosHooks {
+    /// Arms a plan: all seams start consulting it. Rule counters
+    /// start from zero, so re-arming the same plan replays the
+    /// same schedule.
+    pub fn arm(&self, plan: FaultPlan) {
+        *self.state.lock().unwrap() = Some(Arc::new(Armed::new(plan)));
+        self.on.store(true, Ordering::Release);
     }
 
-    static HOOKS: ChaosHooks = ChaosHooks {
-        on: AtomicBool::new(false),
-        state: Mutex::new(None),
-    };
+    /// Disarms: seams go back to the single-atomic-load fast path.
+    pub fn disarm(&self) {
+        self.on.store(false, Ordering::Release);
+        *self.state.lock().unwrap() = None;
+    }
 
-    /// The process-global [`ChaosHooks`] singleton.
+    /// Whether a plan is currently armed.
     #[must_use]
-    pub fn hooks() -> &'static ChaosHooks {
-        &HOOKS
+    pub fn is_armed(&self) -> bool {
+        self.on.load(Ordering::Acquire)
     }
 
-    impl ChaosHooks {
-        /// Arms a plan: all seams start consulting it. Rule counters
-        /// start from zero, so re-arming the same plan replays the
-        /// same schedule.
-        pub fn arm(&self, plan: FaultPlan) {
-            *self.state.lock().unwrap() = Some(Arc::new(Armed::new(plan)));
-            self.on.store(true, Ordering::Release);
+    /// Arms from the [`PLAN_ENV`] environment variable if set.
+    /// Returns `Ok(true)` if a plan was armed, `Ok(false)` if the
+    /// variable is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse/validation message for a malformed plan.
+    pub fn arm_from_env(&self) -> Result<bool, String> {
+        match std::env::var(PLAN_ENV) {
+            Ok(text) => {
+                let plan = FaultPlan::parse(&text).map_err(|e| format!("{PLAN_ENV}: {e}"))?;
+                self.arm(plan);
+                Ok(true)
+            }
+            Err(_) => Ok(false),
         }
+    }
 
-        /// Disarms: seams go back to the single-atomic-load fast path.
-        pub fn disarm(&self) {
-            self.on.store(false, Ordering::Release);
-            *self.state.lock().unwrap() = None;
+    fn armed(&self) -> Option<Arc<Armed>> {
+        if !self.on.load(Ordering::Acquire) {
+            return None;
         }
+        self.state.lock().unwrap().clone()
+    }
 
-        /// Whether a plan is currently armed.
-        #[must_use]
-        pub fn is_armed(&self) -> bool {
-            self.on.load(Ordering::Acquire)
+    /// Number of faults injected since the plan was armed.
+    #[must_use]
+    pub fn injected(&self) -> u64 {
+        self.armed()
+            .map_or(0, |a| a.log.lock().unwrap().len() as u64)
+    }
+
+    /// The injection log, sorted by `(rule, n)` so it is stable
+    /// across thread interleavings and diffs cleanly between runs.
+    #[must_use]
+    pub fn schedule(&self) -> Vec<Injection> {
+        let Some(armed) = self.armed() else {
+            return Vec::new();
+        };
+        let mut log = armed.log.lock().unwrap().clone();
+        log.sort_by_key(|i| (i.rule, i.n));
+        log
+    }
+
+    /// The schedule as diffable text, one [`Injection::line`] per row.
+    #[must_use]
+    pub fn schedule_lines(&self) -> String {
+        let mut out = String::new();
+        for inj in self.schedule() {
+            out.push_str(&inj.line());
+            out.push('\n');
         }
+        out
+    }
 
-        /// Arms from the [`PLAN_ENV`] environment variable if set.
-        /// Returns `Ok(true)` if a plan was armed, `Ok(false)` if the
-        /// variable is absent.
-        ///
-        /// # Errors
-        ///
-        /// Returns the parse/validation message for a malformed plan.
-        pub fn arm_from_env(&self) -> Result<bool, String> {
-            match std::env::var(PLAN_ENV) {
-                Ok(text) => {
-                    let plan = FaultPlan::parse(&text).map_err(|e| format!("{PLAN_ENV}: {e}"))?;
-                    self.arm(plan);
-                    Ok(true)
-                }
-                Err(_) => Ok(false),
+    /// Writes the schedule to `path` (used by the CI smoke to diff
+    /// two runs of the same plan).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying file write error.
+    pub fn write_schedule(&self, path: &str) -> std::io::Result<()> {
+        std::fs::write(path, self.schedule_lines())
+    }
+
+    /// Writes the schedule to the [`SCHEDULE_ENV`] path if that
+    /// variable is set. Errors are reported to stderr, not fatal.
+    pub fn write_schedule_from_env(&self) {
+        if let Ok(path) = std::env::var(SCHEDULE_ENV) {
+            if let Err(e) = self.write_schedule(&path) {
+                eprintln!("chaos: writing schedule to {path}: {e}");
             }
         }
+    }
 
-        fn armed(&self) -> Option<Arc<Armed>> {
-            if !self.on.load(Ordering::Acquire) {
-                return None;
+    /// Evaluates the I/O-fault kinds in `kinds` against context
+    /// `ctx`. First firing rule wins; matching rules before it
+    /// still consume a call number, keeping their streams pure.
+    fn eval_io(&self, ctx: &str, kinds: &[FaultKind]) -> IoFault {
+        let Some(armed) = self.armed() else {
+            return IoFault::Pass;
+        };
+        for (i, rule) in armed.plan.rules.iter().enumerate() {
+            if !kinds.contains(&rule.kind) || !rule.matches(ctx) {
+                continue;
             }
-            self.state.lock().unwrap().clone()
-        }
-
-        /// Number of faults injected since the plan was armed.
-        #[must_use]
-        pub fn injected(&self) -> u64 {
-            self.armed()
-                .map_or(0, |a| a.log.lock().unwrap().len() as u64)
-        }
-
-        /// The injection log, sorted by `(rule, n)` so it is stable
-        /// across thread interleavings and diffs cleanly between runs.
-        #[must_use]
-        pub fn schedule(&self) -> Vec<Injection> {
-            let Some(armed) = self.armed() else {
-                return Vec::new();
-            };
-            let mut log = armed.log.lock().unwrap().clone();
-            log.sort_by_key(|i| (i.rule, i.n));
-            log
-        }
-
-        /// The schedule as diffable text, one [`Injection::line`] per row.
-        #[must_use]
-        pub fn schedule_lines(&self) -> String {
-            let mut out = String::new();
-            for inj in self.schedule() {
-                out.push_str(&inj.line());
-                out.push('\n');
-            }
-            out
-        }
-
-        /// Writes the schedule to `path` (used by the CI smoke to diff
-        /// two runs of the same plan).
-        ///
-        /// # Errors
-        ///
-        /// Propagates the underlying file write error.
-        pub fn write_schedule(&self, path: &str) -> std::io::Result<()> {
-            std::fs::write(path, self.schedule_lines())
-        }
-
-        /// Writes the schedule to the [`SCHEDULE_ENV`] path if that
-        /// variable is set. Errors are reported to stderr, not fatal.
-        pub fn write_schedule_from_env(&self) {
-            if let Ok(path) = std::env::var(SCHEDULE_ENV) {
-                if let Err(e) = self.write_schedule(&path) {
-                    eprintln!("chaos: writing schedule to {path}: {e}");
-                }
-            }
-        }
-
-        /// Evaluates the I/O-fault kinds in `kinds` against context
-        /// `ctx`. First firing rule wins; matching rules before it
-        /// still consume a call number, keeping their streams pure.
-        fn eval_io(&self, ctx: &str, kinds: &[FaultKind]) -> IoFault {
-            let Some(armed) = self.armed() else {
-                return IoFault::Pass;
-            };
-            for (i, rule) in armed.plan.rules.iter().enumerate() {
-                if !kinds.contains(&rule.kind) || !rule.matches(ctx) {
-                    continue;
-                }
-                let n = armed.bump(i);
-                if armed.plan.fires(i, n) {
-                    armed.record(i, n, ctx);
-                    return match rule.kind {
-                        FaultKind::DropConn => IoFault::Drop,
-                        FaultKind::SlowRead | FaultKind::SlowWrite => {
-                            IoFault::Delay(rule.duration())
-                        }
-                        _ => IoFault::Pass,
-                    };
-                }
-            }
-            IoFault::Pass
-        }
-
-        /// Windowed kinds (partition, queue-full storm): every matching
-        /// call consumes a call number; a firing call records an
-        /// injection and (re)opens the window; calls during an open
-        /// window are refused without a new log entry.
-        fn eval_window(&self, ctx: &str, kind: FaultKind) -> bool {
-            let Some(armed) = self.armed() else {
-                return false;
-            };
-            for (i, rule) in armed.plan.rules.iter().enumerate() {
-                if rule.kind != kind || !rule.matches(ctx) {
-                    continue;
-                }
-                let n = armed.bump(i);
-                if armed.plan.fires(i, n) {
-                    armed.record(i, n, ctx);
-                    armed.open_window(i);
-                    return true;
-                }
-                if armed.window_open(i) {
-                    return true;
-                }
-            }
-            false
-        }
-
-        /// Dispatch seam: called once per worker exchange with the
-        /// worker address as context. `Drop` means forget the
-        /// connection; `Delay` means the worker is slow this exchange.
-        #[must_use]
-        pub fn on_dispatch_exchange(&self, worker_addr: &str) -> IoFault {
-            self.eval_io(
-                worker_addr,
-                &[
-                    FaultKind::DropConn,
-                    FaultKind::SlowRead,
-                    FaultKind::SlowWrite,
-                ],
-            )
-        }
-
-        /// Connect seam (`WorkerPool::register`): returns `true` if
-        /// this connect attempt must be refused — either because a
-        /// partition rule fires on it or a partition window is open.
-        #[must_use]
-        pub fn connect_fault(&self, worker_addr: &str) -> bool {
-            self.eval_window(worker_addr, FaultKind::Partition)
-        }
-
-        /// Passive partition check for the health loop: `true` while a
-        /// partition window is open for this address. Does not consume
-        /// a call number, so time-driven probes cannot perturb the
-        /// schedule.
-        #[must_use]
-        pub fn partitioned(&self, worker_addr: &str) -> bool {
-            let Some(armed) = self.armed() else {
-                return false;
-            };
-            armed.plan.rules.iter().enumerate().any(|(i, rule)| {
-                rule.kind == FaultKind::Partition
-                    && rule.matches(worker_addr)
-                    && armed.window_open(i)
-            })
-        }
-
-        /// Queue-admission seam (context `"queue"`): `true` means
-        /// answer `queue_full` regardless of actual depth.
-        #[must_use]
-        pub fn admission_fault(&self) -> bool {
-            self.eval_window("queue", FaultKind::QueueFullStorm)
-        }
-
-        /// Cache-reload seam (context `"cache"`): if a
-        /// `corrupt_cache_file` rule fires, mangles the file at `path`
-        /// in place — a deterministic bit-flip or truncation drawn
-        /// from the rule's decision RNG — and returns `true`.
-        #[must_use]
-        pub fn mangle_cache_file(&self, path: &str) -> bool {
-            let Some(armed) = self.armed() else {
-                return false;
-            };
-            for (i, rule) in armed.plan.rules.iter().enumerate() {
-                if rule.kind != FaultKind::CorruptCacheFile || !rule.matches("cache") {
-                    continue;
-                }
-                let n = armed.bump(i);
-                if !armed.plan.fires(i, n) {
-                    continue;
-                }
-                let Ok(mut bytes) = std::fs::read(path) else {
-                    continue; // no file to corrupt; the call still counted
+            let n = armed.bump(i);
+            if armed.plan.fires(i, n) {
+                armed.record(i, n, ctx);
+                return match rule.kind {
+                    FaultKind::DropConn => IoFault::Drop,
+                    FaultKind::SlowRead | FaultKind::SlowWrite => IoFault::Delay(rule.duration()),
+                    _ => IoFault::Pass,
                 };
-                if bytes.is_empty() {
-                    continue;
-                }
-                let mut rng = armed.plan.decision_rng(i, n);
-                if rng.bool(0.5) {
-                    let keep = rng.below(bytes.len() as u64) as usize;
-                    bytes.truncate(keep);
-                } else {
-                    let idx = rng.below(bytes.len() as u64) as usize;
-                    let bit = rng.below(8) as u8;
-                    bytes[idx] ^= 1 << bit;
-                }
-                if std::fs::write(path, &bytes).is_ok() {
-                    armed.record(i, n, "cache");
-                    return true;
-                }
             }
-            false
         }
-
-        /// HTTP accept seam (context `"http"`): `Drop` means close the
-        /// just-accepted connection without serving it.
-        #[must_use]
-        pub fn on_http_accept(&self) -> IoFault {
-            self.eval_io("http", &[FaultKind::DropConn])
-        }
-
-        /// HTTP read seam (context `"http"`): `Delay` stalls the read,
-        /// `Drop` closes mid-request.
-        #[must_use]
-        pub fn on_http_read(&self) -> IoFault {
-            self.eval_io("http", &[FaultKind::SlowRead, FaultKind::DropConn])
-        }
-
-        /// Driver seam: called by `ssim chaos` before mix step `step`
-        /// (1-indexed) with the worker count. If a `sigkill_worker`
-        /// rule fires, returns the victim's worker index — parsed from
-        /// a `worker:<k>` target, else `n % workers`.
-        #[must_use]
-        pub fn sigkill_step(&self, step: u64, workers: usize) -> Option<usize> {
-            let armed = self.armed()?;
-            if workers == 0 {
-                return None;
-            }
-            for (i, rule) in armed.plan.rules.iter().enumerate() {
-                if rule.kind != FaultKind::SigkillWorker {
-                    continue;
-                }
-                let n = armed.bump(i);
-                if !armed.plan.fires(i, n) {
-                    continue;
-                }
-                let victim = rule
-                    .target
-                    .strip_prefix("worker:")
-                    .and_then(|k| k.parse::<usize>().ok())
-                    .unwrap_or((n % workers as u64) as usize)
-                    % workers;
-                armed.record(i, n, &format!("step:{step}"));
-                return Some(victim);
-            }
-            None
-        }
+        IoFault::Pass
     }
-}
 
-#[cfg(not(feature = "enabled"))]
-mod stub {
-    use super::{FaultPlan, Injection, IoFault};
+    /// Windowed kinds (partition, queue-full storm): every matching
+    /// call consumes a call number; a firing call records an
+    /// injection and (re)opens the window; calls during an open
+    /// window are refused without a new log entry.
+    fn eval_window(&self, ctx: &str, kind: FaultKind) -> bool {
+        let Some(armed) = self.armed() else {
+            return false;
+        };
+        for (i, rule) in armed.plan.rules.iter().enumerate() {
+            if rule.kind != kind || !rule.matches(ctx) {
+                continue;
+            }
+            let n = armed.bump(i);
+            if armed.plan.fires(i, n) {
+                armed.record(i, n, ctx);
+                armed.open_window(i);
+                return true;
+            }
+            if armed.window_open(i) {
+                return true;
+            }
+        }
+        false
+    }
 
-    /// Compiled-out chaos handle: every method is an inline no-op.
-    pub struct ChaosHooks;
-
-    static HOOKS: ChaosHooks = ChaosHooks;
-
-    /// The process-global [`ChaosHooks`] singleton (no-op build).
+    /// Dispatch seam: called once per worker exchange with the
+    /// worker address as context. `Drop` means forget the
+    /// connection; `Delay` means the worker is slow this exchange.
     #[must_use]
-    pub fn hooks() -> &'static ChaosHooks {
-        &HOOKS
+    pub fn on_dispatch_exchange(&self, worker_addr: &str) -> IoFault {
+        self.eval_io(
+            worker_addr,
+            &[
+                FaultKind::DropConn,
+                FaultKind::SlowRead,
+                FaultKind::SlowWrite,
+            ],
+        )
     }
 
-    #[allow(clippy::unused_self, clippy::missing_const_for_fn)]
-    impl ChaosHooks {
-        /// No-op: chaos is compiled out.
-        pub fn arm(&self, _plan: FaultPlan) {}
-        /// No-op: chaos is compiled out.
-        pub fn disarm(&self) {}
-        /// Always `false`: chaos is compiled out.
-        #[must_use]
-        pub fn is_armed(&self) -> bool {
-            false
+    /// Connect seam (`WorkerPool::register`): returns `true` if
+    /// this connect attempt must be refused — either because a
+    /// partition rule fires on it or a partition window is open.
+    #[must_use]
+    pub fn connect_fault(&self, worker_addr: &str) -> bool {
+        self.eval_window(worker_addr, FaultKind::Partition)
+    }
+
+    /// Passive partition check for the health loop: `true` while a
+    /// partition window is open for this address. Does not consume
+    /// a call number, so time-driven probes cannot perturb the
+    /// schedule.
+    #[must_use]
+    pub fn partitioned(&self, worker_addr: &str) -> bool {
+        let Some(armed) = self.armed() else {
+            return false;
+        };
+        armed.plan.rules.iter().enumerate().any(|(i, rule)| {
+            rule.kind == FaultKind::Partition && rule.matches(worker_addr) && armed.window_open(i)
+        })
+    }
+
+    /// Queue-admission seam (context `"queue"`): `true` means
+    /// answer `queue_full` regardless of actual depth.
+    #[must_use]
+    pub fn admission_fault(&self) -> bool {
+        self.eval_window("queue", FaultKind::QueueFullStorm)
+    }
+
+    /// Cache-reload seam (context `"cache"`): if a
+    /// `corrupt_cache_file` rule fires, mangles the file at `path`
+    /// in place — a deterministic bit-flip or truncation drawn
+    /// from the rule's decision RNG — and returns `true`.
+    #[must_use]
+    pub fn mangle_cache_file(&self, path: &str) -> bool {
+        let Some(armed) = self.armed() else {
+            return false;
+        };
+        for (i, rule) in armed.plan.rules.iter().enumerate() {
+            if rule.kind != FaultKind::CorruptCacheFile || !rule.matches("cache") {
+                continue;
+            }
+            let n = armed.bump(i);
+            if !armed.plan.fires(i, n) {
+                continue;
+            }
+            let Ok(mut bytes) = std::fs::read(path) else {
+                continue; // no file to corrupt; the call still counted
+            };
+            if bytes.is_empty() {
+                continue;
+            }
+            let mut rng = armed.plan.decision_rng(i, n);
+            if rng.bool(0.5) {
+                let keep = rng.below(bytes.len() as u64) as usize;
+                bytes.truncate(keep);
+            } else {
+                let idx = rng.below(bytes.len() as u64) as usize;
+                let bit = rng.below(8) as u8;
+                bytes[idx] ^= 1 << bit;
+            }
+            if std::fs::write(path, &bytes).is_ok() {
+                armed.record(i, n, "cache");
+                return true;
+            }
         }
-        /// Always `Ok(false)`: chaos is compiled out.
-        ///
-        /// # Errors
-        ///
-        /// Never errors in the no-op build.
-        pub fn arm_from_env(&self) -> Result<bool, String> {
-            Ok(false)
+        false
+    }
+
+    /// HTTP accept seam (context `"http"`): `Drop` means close the
+    /// just-accepted connection without serving it.
+    #[must_use]
+    pub fn on_http_accept(&self) -> IoFault {
+        self.eval_io("http", &[FaultKind::DropConn])
+    }
+
+    /// HTTP read seam (context `"http"`): `Delay` stalls the read,
+    /// `Drop` closes mid-request.
+    #[must_use]
+    pub fn on_http_read(&self) -> IoFault {
+        self.eval_io("http", &[FaultKind::SlowRead, FaultKind::DropConn])
+    }
+
+    /// Driver seam: called by `ssim chaos` before mix step `step`
+    /// (1-indexed) with the worker count. If a `sigkill_worker`
+    /// rule fires, returns the victim's worker index — parsed from
+    /// a `worker:<k>` target, else `n % workers`.
+    #[must_use]
+    pub fn sigkill_step(&self, step: u64, workers: usize) -> Option<usize> {
+        let armed = self.armed()?;
+        if workers == 0 {
+            return None;
         }
-        /// Always 0: chaos is compiled out.
-        #[must_use]
-        pub fn injected(&self) -> u64 {
-            0
+        for (i, rule) in armed.plan.rules.iter().enumerate() {
+            if rule.kind != FaultKind::SigkillWorker {
+                continue;
+            }
+            let n = armed.bump(i);
+            if !armed.plan.fires(i, n) {
+                continue;
+            }
+            let victim = rule
+                .target
+                .strip_prefix("worker:")
+                .and_then(|k| k.parse::<usize>().ok())
+                .unwrap_or((n % workers as u64) as usize)
+                % workers;
+            armed.record(i, n, &format!("step:{step}"));
+            return Some(victim);
         }
-        /// Always empty: chaos is compiled out.
-        #[must_use]
-        pub fn schedule(&self) -> Vec<Injection> {
-            Vec::new()
-        }
-        /// Always empty: chaos is compiled out.
-        #[must_use]
-        pub fn schedule_lines(&self) -> String {
-            String::new()
-        }
-        /// Writes an empty schedule.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the underlying file write error.
-        pub fn write_schedule(&self, path: &str) -> std::io::Result<()> {
-            std::fs::write(path, "")
-        }
-        /// No-op: chaos is compiled out.
-        pub fn write_schedule_from_env(&self) {}
-        /// Always `Pass`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn on_dispatch_exchange(&self, _worker_addr: &str) -> IoFault {
-            IoFault::Pass
-        }
-        /// Always `false`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn connect_fault(&self, _worker_addr: &str) -> bool {
-            false
-        }
-        /// Always `false`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn partitioned(&self, _worker_addr: &str) -> bool {
-            false
-        }
-        /// Always `false`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn admission_fault(&self) -> bool {
-            false
-        }
-        /// Always `false`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn mangle_cache_file(&self, _path: &str) -> bool {
-            false
-        }
-        /// Always `Pass`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn on_http_accept(&self) -> IoFault {
-            IoFault::Pass
-        }
-        /// Always `Pass`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn on_http_read(&self) -> IoFault {
-            IoFault::Pass
-        }
-        /// Always `None`: chaos is compiled out.
-        #[inline]
-        #[must_use]
-        pub fn sigkill_step(&self, _step: u64, _workers: usize) -> Option<usize> {
-            None
-        }
+        None
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{FaultRule, DEFAULT_DURATION_MS};

@@ -22,11 +22,6 @@
 //!        └──────▶ `ssim chaos` ───┘ sigkill_worker (driver kills a child)
 //! ```
 //!
-//! Everything that injects is gated on the crate's `enabled` feature
-//! (on by default). Built with `default-features = false`, every hook
-//! is an empty inline function and the seams cost nothing, mirroring
-//! how `sharing-obs` compiles out.
-//!
 //! # Example
 //!
 //! ```

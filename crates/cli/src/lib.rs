@@ -279,6 +279,8 @@ pub enum CliError {
     MissingValue(String),
     /// A value failed to parse.
     BadValue(String, String),
+    /// A value parsed but is out of range (flag, reason).
+    OutOfRange(String, String),
     /// Unknown benchmark name.
     UnknownBenchmark(String),
     /// Config file could not be read or parsed.
@@ -309,6 +311,7 @@ impl fmt::Display for CliError {
             CliError::UnknownFlag(x) => write!(f, "unknown flag `{x}`"),
             CliError::MissingValue(x) => write!(f, "flag `{x}` needs a value"),
             CliError::BadValue(x, v) => write!(f, "flag `{x}`: cannot parse `{v}`"),
+            CliError::OutOfRange(x, e) => write!(f, "flag `{x}`: {e}"),
             CliError::UnknownBenchmark(b) => {
                 write!(f, "unknown benchmark `{b}` (try `ssim list`)")
             }
@@ -428,6 +431,12 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::BadValue(flag.to_string(), v.to_string()))
 }
 
+/// Parses a `--len` value, checked by [`TraceSpec::check_len`] as the
+/// daemon checks a job's `len`.
+fn parse_len(flag: &str, v: &str) -> Result<usize, CliError> {
+    TraceSpec::check_len(parse_num(flag, v)?).map_err(|e| CliError::OutOfRange(flag.to_string(), e))
+}
+
 /// Resolves a `--benchmark` value: the paper suite first, then the
 /// extra seeded profiles (`bursty`, `phaseshift`).
 fn parse_workload_name(v: &str) -> Result<Workload, CliError> {
@@ -481,7 +490,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--slices" => out.slices = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--banks" => out.banks = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--len" => out.len = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--len" => out.len = parse_len(flag, take_value(flag, &mut it)?)?,
                     "--seed" => out.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--config" => out.config_path = Some(take_value(flag, &mut it)?.clone()),
                     "--json" => out.json = true,
@@ -522,7 +531,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             .ok_or_else(|| CliError::UnknownBenchmark(v.clone()))?;
                         got_benchmark = true;
                     }
-                    "--len" => out.len = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--len" => out.len = parse_len(flag, take_value(flag, &mut it)?)?,
                     "--seed" => out.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--daemon" => out.daemon = Some(take_value(flag, &mut it)?.clone()),
                     "--jobs" => out.jobs = Some(parse_num(flag, take_value(flag, &mut it)?)?),
@@ -593,7 +602,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--slices" => out.slices = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--banks" => out.banks = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--len" => out.len = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--len" => out.len = parse_len(flag, take_value(flag, &mut it)?)?,
                     "--seed" => out.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--config" => out.config_path = Some(take_value(flag, &mut it)?.clone()),
                     "--json" => out.json = true,
@@ -687,7 +696,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--slices" => slices = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--banks" => banks = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--len" => len = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--len" => len = parse_len(flag, take_value(flag, &mut it)?)?,
                     "--seed" => seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--ping" => action = Some(SubmitAction::Ping),
                     "--hello" => action = Some(SubmitAction::Hello),
@@ -761,7 +770,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--seed" => out.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--workers" => out.workers = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--base-port" => out.base_port = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--len" => out.len = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--len" => out.len = parse_len(flag, take_value(flag, &mut it)?)?,
                     "--schedule-out" => {
                         out.schedule_out = Some(take_value(flag, &mut it)?.clone());
                     }
@@ -1996,6 +2005,20 @@ mod tests {
             Err(CliError::UnknownCommand(_))
         ));
         assert_eq!(parse(&[]), Err(CliError::MissingCommand));
+    }
+
+    #[test]
+    fn len_is_capped_like_a_daemon_job() {
+        let cap = sharing_trace::MAX_TRACE_LEN.to_string();
+        let over = (sharing_trace::MAX_TRACE_LEN + 1).to_string();
+        for sub in ["run", "sweep", "profile"] {
+            assert!(parse(&s(&[sub, "--benchmark", "gcc", "--len", &cap])).is_ok());
+            for bad in ["0", over.as_str()] {
+                let err = parse(&s(&[sub, "--benchmark", "gcc", "--len", bad])).unwrap_err();
+                assert!(matches!(err, CliError::OutOfRange(..)), "{sub}: {err:?}");
+                assert!(err.to_string().contains(&cap), "{err}");
+            }
+        }
     }
 
     #[test]

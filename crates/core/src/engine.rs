@@ -484,7 +484,6 @@ pub struct VCoreEngine {
     /// Timing log (only populated when detail recording is on).
     record: Option<Vec<InstTiming>>,
     /// Cycle-attribution state (only with [`Self::enable_profiling`]).
-    #[cfg(feature = "profile")]
     profile: Option<ProfileState>,
     /// Dataflow verification state (only with [`Self::enable_verification`]).
     verify: Option<VerifyState>,
@@ -500,7 +499,6 @@ pub struct VCoreEngine {
 /// Cycle-attribution accounting (see [`crate::profile`]): the buckets
 /// charged so far plus, per Slice, the commit frontier below which every
 /// cycle has already been attributed.
-#[cfg(feature = "profile")]
 #[derive(Debug, Default)]
 struct ProfileState {
     per_slice: Vec<crate::profile::SliceCycles>,
@@ -590,7 +588,6 @@ impl VCoreEngine {
             seq: 0,
             result: SimResult::default(),
             record: None,
-            #[cfg(feature = "profile")]
             profile: None,
             verify: None,
             ghr: 0,
@@ -612,7 +609,6 @@ impl VCoreEngine {
 
     /// Arms the cycle-attribution profiler (see [`crate::profile`]).
     /// Pure observation: arming it cannot change any timing result.
-    #[cfg(feature = "profile")]
     pub fn enable_profiling(&mut self) {
         let n = self.cfg.slices();
         self.profile = Some(ProfileState {
@@ -625,7 +621,6 @@ impl VCoreEngine {
     /// Slice's idle bucket is topped up to the current cycle count, so
     /// the conservation law (buckets sum to [`Self::cycles`]) holds at
     /// any point, not just at the end of the run.
-    #[cfg(feature = "profile")]
     #[must_use]
     pub fn cycle_profile(&self) -> Option<crate::profile::CycleProfile> {
         let p = self.profile.as_ref()?;
@@ -1168,7 +1163,6 @@ impl VCoreEngine {
     /// latencies can never over-count and the buckets always partition
     /// the timeline. Reads timestamps only — never feeds back into
     /// timing.
-    #[cfg(feature = "profile")]
     #[allow(clippy::too_many_arguments)]
     fn profile_commit(
         &mut self,
@@ -1200,23 +1194,6 @@ impl VCoreEngine {
         charge(&mut sc.rob_full, dispatch_stall);
         charge(&mut sc.fetch, dispatch - fetch);
         sc.idle += remaining;
-    }
-
-    /// No-op twin of the profiling hook so the call site needs no cfg.
-    #[cfg(not(feature = "profile"))]
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn profile_commit(
-        &mut self,
-        _s: usize,
-        _fetch: u64,
-        _dispatch: u64,
-        _issue: u64,
-        _exec_done: u64,
-        _commit: u64,
-        _mem_stall: u64,
-        _dispatch_stall: u64,
-    ) {
     }
 
     /// Load timing: AGU → sort to home bank → speculative access with

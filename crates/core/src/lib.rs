@@ -15,9 +15,9 @@
 //! * [`run_phased_with`] — dynamic reconfiguration across program phases
 //!   with the paper's 500/10 000-cycle costs (§5.10);
 //! * [`engine`] — the underlying timing model, exposed for composition;
-//! * [`profile`] — conservation-exact cycle attribution (the `profile`
-//!   feature, on by default): every simulated cycle of every Slice binned
-//!   into fetch/issue/FU-busy/DRAM-stall/ROB-full/idle;
+//! * [`profile`] — conservation-exact cycle attribution: every simulated
+//!   cycle of every Slice binned into fetch/issue/FU-busy/DRAM-stall/
+//!   ROB-full/idle;
 //! * [`structures`] — Table 1's replicated-vs-partitioned encoding.
 //!
 //! # Example

@@ -23,8 +23,7 @@
 //!
 //! The accounting is pure observation: it reads timestamps the engine
 //! already computed and never feeds anything back, so an armed profiler
-//! cannot perturb bit-for-bit replay — and the whole layer compiles out
-//! when `sharing-core` is built without its `profile` feature.
+//! cannot perturb bit-for-bit replay.
 
 use sharing_json::json_struct;
 
@@ -178,18 +177,6 @@ impl CycleProfile {
             pct.trim_end()
         );
         out
-    }
-}
-
-/// The cargo feature set `sharing-core` was compiled with, as a
-/// comma-separated string. Feeds the `ssimd_build_info{features=...}`
-/// info gauge so a scrape can tell whether the profiler is compiled in.
-#[must_use]
-pub fn compiled_features() -> &'static str {
-    if cfg!(feature = "profile") {
-        "profile"
-    } else {
-        ""
     }
 }
 

@@ -18,9 +18,7 @@ use std::sync::OnceLock;
 
 /// Feeds the finished run into the process-global obs registry
 /// (`ssim_runs_total`, `ssim_cycles_total`, `ssim_instructions_total`).
-/// Three relaxed atomic adds per *run* — nothing on the cycle loop — and
-/// compiled out entirely when `sharing-obs` is built without its
-/// `enabled` feature.
+/// Three relaxed atomic adds per *run* — nothing on the cycle loop.
 pub(crate) fn observe_run(result: &SimResult) {
     static RUNS: OnceLock<&'static sharing_obs::Counter> = OnceLock::new();
     static CYCLES: OnceLock<&'static sharing_obs::Counter> = OnceLock::new();
@@ -60,7 +58,6 @@ pub(crate) fn observe_run(result: &SimResult) {
 pub struct RunOptions<'a> {
     bank_distances: Option<Vec<u32>>,
     trace_to: Option<&'a sharing_obs::TraceBuffer>,
-    #[cfg(feature = "profile")]
     profile: bool,
     timings: bool,
     verify: bool,
@@ -102,7 +99,6 @@ impl<'a> RunOptions<'a> {
     /// observation — the result stays bit-identical — and bucket totals
     /// are accumulated into the process-global obs registry
     /// (`ssim_profile_<bucket>_cycles_total`).
-    #[cfg(feature = "profile")]
     #[must_use]
     pub fn profile(mut self) -> Self {
         self.profile = true;
@@ -141,7 +137,6 @@ pub struct RunOutput {
     /// The timing result (always produced).
     pub result: SimResult,
     /// Cycle-attribution profile, when [`RunOptions::profile`] was set.
-    #[cfg(feature = "profile")]
     pub profile: Option<crate::profile::CycleProfile>,
     /// Per-instruction timings, when [`RunOptions::record_timings`] was
     /// set.
@@ -215,7 +210,6 @@ impl Simulator {
         if options.timings {
             engine.enable_recording();
         }
-        #[cfg(feature = "profile")]
         if options.profile {
             engine.enable_profiling();
         }
@@ -228,7 +222,6 @@ impl Simulator {
         let timings = options
             .timings
             .then(|| engine.timings().expect("recording enabled").to_vec());
-        #[cfg(feature = "profile")]
         let profile = options
             .profile
             .then(|| engine.cycle_profile().expect("profiling enabled"));
@@ -236,7 +229,6 @@ impl Simulator {
         let mut result = engine.finish(trace.name());
         VCoreEngine::absorb_mem_stats(&mut result, &mem);
         observe_run(&result);
-        #[cfg(feature = "profile")]
         if let Some(p) = &profile {
             crate::profile::observe_profile(p);
         }
@@ -262,7 +254,6 @@ impl Simulator {
         }
         RunOutput {
             result,
-            #[cfg(feature = "profile")]
             profile,
             timings,
             verified,
@@ -382,7 +373,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn profile_buckets_conserve_cycles_at_every_shape() {
         for (s, b) in [(1usize, 2usize), (2, 0), (4, 4), (8, 2)] {
@@ -404,7 +394,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn profiling_is_pure_observation() {
         // Arming the profiler must not change the result by a single bit,
@@ -423,7 +412,6 @@ mod tests {
         assert_eq!(sharing_json::to_string(&a), sharing_json::to_string(&b));
     }
 
-    #[cfg(feature = "profile")]
     #[test]
     fn profile_sees_dram_on_memory_bound_work_and_not_on_alu_work() {
         use sharing_isa::{ArchReg, DynInst, MemSize};

@@ -139,7 +139,6 @@ fn table() -> Table {
     }
 
     // Cycle attribution, which must also conserve every slice's cycles.
-    #[cfg(feature = "profile")]
     for bench in [Benchmark::Gcc, Benchmark::Mcf, Benchmark::Libquantum] {
         let trace = bench.generate(&TraceSpec::new(3_000, 7));
         for (s, b) in [(2usize, 2usize), (5, 8), (8, 16)] {
@@ -218,11 +217,7 @@ fn table() -> Table {
 
 #[test]
 fn results_match_golden_digests() {
-    // Without the profiler compiled in, its cases cannot be produced.
-    let expected: Vec<&str> = GOLDEN
-        .lines()
-        .filter(|l| cfg!(feature = "profile") || !l.starts_with("profile/"))
-        .collect();
+    let expected: Vec<&str> = GOLDEN.lines().collect();
     let got = table().0;
     if got != expected {
         let moved: Vec<&String> = got

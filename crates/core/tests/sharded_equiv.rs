@@ -175,7 +175,6 @@ fn verified_runs_pass() {
 /// The cycle profiler's conservation law — every slice's buckets sum to
 /// the run's cycle count — and the attribution is a pure function of the
 /// run: a rerun matches it exactly.
-#[cfg(feature = "profile")]
 #[test]
 fn profiler_conserves_and_reruns_identically() {
     let trace = Benchmark::Mcf.generate(&TraceSpec::new(3_000, 7));

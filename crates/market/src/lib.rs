@@ -47,7 +47,6 @@ pub mod efficiency;
 pub mod market;
 pub mod optimize;
 pub mod phases;
-pub mod spot;
 pub mod surface;
 pub mod utility;
 
@@ -56,6 +55,5 @@ pub use autotuner::{AutoTuner, Objective};
 pub use efficiency::{EfficiencyStudy, PairGain};
 pub use market::Market;
 pub use optimize::{best_metric, best_utility, Chosen};
-pub use spot::{DemandProcess, SpotMarket, SpotTick};
 pub use surface::{ExperimentSpec, PerfSurface, SuiteSurfaces};
 pub use utility::UtilityFn;

@@ -59,17 +59,12 @@ impl Histogram {
         Histogram::with_bounds(bounds)
     }
 
-    /// Records one observation. A no-op without the `enabled` feature.
+    /// Records one observation.
     #[inline]
     pub fn observe(&self, value: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let idx = self.bounds.partition_point(|&b| b < value);
-            self.counts[idx].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
+        let idx = self.bounds.partition_point(|&b| b < value);
+        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// The bucket upper bounds.
@@ -101,7 +96,7 @@ impl Histogram {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

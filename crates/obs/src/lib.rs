@@ -37,13 +37,6 @@
 //! the Chrome exporter places them under two separate process tracks,
 //! so a single trace file shows both timelines without conflating them.
 //!
-//! # Compile-out
-//!
-//! Everything that records is gated on the crate's `enabled` feature
-//! (on by default). Built with `default-features = false`, every
-//! `inc`/`add`/`record` call is an empty inline function and the
-//! exporters emit empty traces — dependents keep compiling unchanged.
-//!
 //! # Example
 //!
 //! ```

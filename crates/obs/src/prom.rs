@@ -138,7 +138,7 @@ impl PromWriter {
     }
 
     /// An info-style gauge: constant value `1`, identity in the labels
-    /// (the `ssimd_build_info{version=...,features=...}` idiom).
+    /// (the `ssimd_build_info{version=...}` idiom).
     pub fn info(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) {
         self.header(name, help, "gauge");
         self.sample(name, labels, 1);
@@ -292,7 +292,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn histogram_buckets_are_cumulative_and_count_matches_inf() {
         let h = Histogram::with_bounds(vec![10, 100]);
         h.observe(5);

@@ -40,13 +40,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`. A no-op without the `enabled` feature.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// The current value.
@@ -72,23 +69,16 @@ impl Gauge {
         }
     }
 
-    /// Sets the value. A no-op without the `enabled` feature.
+    /// Sets the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(feature = "enabled")]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
-    /// Adds `delta` (may be negative). A no-op without the `enabled`
-    /// feature.
+    /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(delta, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = delta;
     }
 
     /// The current value.

@@ -144,7 +144,7 @@ pub fn jsonl_to_chrome(jsonl: &str) -> (String, usize) {
     (doc, skipped)
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use sharing_json::Json;

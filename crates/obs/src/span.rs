@@ -195,12 +195,9 @@ impl TraceBuffer {
         u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// Appends one event. A no-op without the `enabled` feature.
+    /// Appends one event.
     pub fn record(&self, ev: SpanEvent) {
-        #[cfg(feature = "enabled")]
         self.events.lock().expect("trace lock").push(ev);
-        #[cfg(not(feature = "enabled"))]
-        let _ = ev;
     }
 
     /// Appends a complete logical-cycle span.

@@ -12,9 +12,11 @@
 //! ([`ResultCache::save_to_file`] / [`ResultCache::load_from_file`]) so
 //! sweep results survive daemon restarts. Keys and payloads are compact
 //! single-line JSON, so the format is simply a header line followed by
-//! alternating key / payload lines — and because the stored payload bytes
-//! are written and read back verbatim, a reloaded cache replays exactly
-//! the bytes the original run produced.
+//! alternating key / payload lines, each key line prefixed with an
+//! FNV-1a digest of its entry. Because the stored payload bytes are
+//! written and read back verbatim, a reloaded cache replays exactly the
+//! bytes the original run produced, and the digest keeps a damaged
+//! entry from being replayed at all.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -23,7 +25,16 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// First line of a persisted cache file.
-pub const CACHE_FILE_HEADER: &str = "ssimd-cache v1";
+pub const CACHE_FILE_HEADER: &str = "ssimd-cache v2";
+
+/// The digest a persisted entry carries on its key line: FNV-1a over
+/// the key, a newline and the payload.
+fn entry_digest(key: &str, payload: &str) -> String {
+    format!(
+        "{:016x}",
+        sharing_dc::fnv64(format!("{key}\n{payload}").as_bytes())
+    )
+}
 
 /// A bounded, thread-safe string-keyed result cache.
 #[derive(Debug)]
@@ -87,9 +98,9 @@ impl ResultCache {
     }
 
     /// Writes the cache to a plain-format file: a header line, then one
-    /// key line and one payload line per entry, oldest first (so a reload
-    /// into the same capacity evicts the same entries). Returns the
-    /// number of entries written.
+    /// `<digest> <key>` line and one payload line per entry, oldest first
+    /// (so a reload into the same capacity evicts the same entries).
+    /// Returns the number of entries written.
     ///
     /// # Errors
     ///
@@ -108,7 +119,7 @@ impl ResultCache {
                 if key.contains('\n') || payload.contains('\n') {
                     continue;
                 }
-                writeln!(f, "{key}")?;
+                writeln!(f, "{} {key}", entry_digest(key, payload))?;
                 writeln!(f, "{payload}")?;
             }
             f.flush()?;
@@ -120,12 +131,14 @@ impl ResultCache {
     /// Loads entries from a file produced by [`ResultCache::save_to_file`],
     /// preserving their order (FIFO eviction applies if the file holds
     /// more than the capacity). A missing file loads zero entries; a file
-    /// with the wrong header is rejected. Returns the number loaded.
+    /// with the wrong header is rejected. Loading stops at the first
+    /// entry whose digest does not match, so only intact entries are
+    /// ever inserted. Returns the number loaded.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; `InvalidData` for a bad header or a
-    /// truncated trailing entry.
+    /// Propagates I/O errors; `InvalidData` for a bad header, a
+    /// truncated trailing entry or an entry that fails its digest.
     pub fn load_from_file(&self, path: impl AsRef<Path>) -> io::Result<usize> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -140,12 +153,21 @@ impl ResultCache {
             ));
         }
         let mut loaded = 0usize;
-        while let Some(key) = lines.next() {
+        while let Some(key_line) = lines.next() {
             let Some(payload) = lines.next() else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "cache file ends with a key but no payload",
                 ));
+            };
+            let key = match key_line.split_once(' ') {
+                Some((digest, key)) if digest == entry_digest(key, payload) => key,
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("cache entry {} fails its digest", loaded + 1),
+                    ))
+                }
             };
             self.insert(key, payload);
             loaded += 1;
@@ -269,15 +291,33 @@ mod tests {
     }
 
     #[test]
+    fn a_damaged_entry_stops_the_load() {
+        let path = temp_path("damaged");
+        let c = ResultCache::new(4);
+        c.insert("good-key", "good-payload");
+        c.insert("next-key", "next-payload");
+        c.save_to_file(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("next-payload", "next-paylaod")).unwrap();
+        let fresh = ResultCache::new(4);
+        assert!(fresh.load_from_file(&path).is_err());
+        assert_eq!(
+            fresh.snapshot(),
+            vec![("good-key".into(), "good-payload".into())]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn clear_discards_partial_loads() {
         let path = temp_path("partial");
         // One good entry, then a trailing key with no payload: the load
         // errors but has already inserted the good entry.
-        std::fs::write(
-            &path,
-            format!("{CACHE_FILE_HEADER}\ngood-key\ngood-payload\ndangling-key\n"),
-        )
-        .unwrap();
+        let good = ResultCache::new(4);
+        good.insert("good-key", "good-payload");
+        good.save_to_file(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{text}dangling-key\n")).unwrap();
         let c = ResultCache::new(4);
         assert!(c.load_from_file(&path).is_err());
         assert_eq!(c.get("good-key").as_deref(), Some("good-payload"));

@@ -326,10 +326,7 @@ impl Metrics {
         w.info(
             "ssimd_build_info",
             "Build identity of this daemon (constant 1).",
-            &[
-                ("version", env!("CARGO_PKG_VERSION")),
-                ("features", sharing_core::profile::compiled_features()),
-            ],
+            &[("version", env!("CARGO_PKG_VERSION"))],
         );
         w.gauge_f64(
             "ssimd_uptime_seconds",
@@ -516,7 +513,11 @@ mod tests {
         m.record_job(JobClass::Simulate, 1, 120, 880);
         let text = m.prometheus_text(2, 64, 9);
         assert!(text.contains("# TYPE ssimd_build_info gauge"));
-        assert!(text.contains("ssimd_build_info{version=\"") && text.contains("features=\""));
+        let build_info = format!(
+            "ssimd_build_info{{version=\"{}\"}} 1\n",
+            env!("CARGO_PKG_VERSION")
+        );
+        assert!(text.contains(&build_info), "{text}");
         assert!(text.contains("# TYPE ssimd_uptime_seconds gauge"));
         assert!(text.contains("ssimd_queue_capacity 64"));
         assert!(text.contains("# TYPE ssimd_jobs_completed_total counter"));

@@ -32,13 +32,16 @@
 //! {"type":"dc","scenario":{"name":"bursty",...},"seed":7,"mode":"sharing"}
 //! ```
 //!
+//! A `len` outside 1..=[`MAX_TRACE_LEN`](sharing_trace::MAX_TRACE_LEN)
+//! is refused with `bad_request` before any trace is generated.
+//!
 //! Error replies are structured: `{"ok":false,"code":"queue_full",
 //! "error":"..."}` — assert on [`ErrorCode`]s, not message substrings.
 
 use sharing_dc::{BillingMode, Scenario};
 use sharing_json::{Json, JsonError};
 use sharing_market::{Market, UtilityFn};
-use sharing_trace::{Benchmark, WorkloadProfile};
+use sharing_trace::{Benchmark, TraceSpec, WorkloadProfile};
 use std::io::{BufRead, Read, Write};
 
 /// Default TCP port (`0xA5` + `2014`, the paper's year).
@@ -401,6 +404,12 @@ fn num_field<T: sharing_json::FromJson>(v: &Json, key: &str, default: T) -> Resu
     }
 }
 
+/// A job's `len`, checked by [`TraceSpec::check_len`] before anything is
+/// generated.
+fn len_field(v: &Json, default: usize) -> Result<usize, JsonError> {
+    TraceSpec::check_len(num_field(v, "len", default)?).map_err(|e| JsonError(format!("`len` {e}")))
+}
+
 fn parse_benchmark(v: &Json) -> Result<Benchmark, JsonError> {
     let name = field(v, "benchmark")?
         .as_str()
@@ -510,13 +519,13 @@ impl Envelope {
                     workload,
                     slices: num_field(v, "slices", 1usize)?,
                     banks: num_field(v, "banks", 2usize)?,
-                    len: num_field(v, "len", 60_000usize)?,
+                    len: len_field(v, 60_000)?,
                     seed: num_field(v, "seed", 0xA5_2014u64)?,
                 }))
             }
             "sweep" => Request::Job(Job::Sweep(SweepJob {
                 benchmark: parse_benchmark(v)?,
-                len: num_field(v, "len", 30_000usize)?,
+                len: len_field(v, 30_000)?,
                 seed: num_field(v, "seed", 0xA5_2014u64)?,
             })),
             "market" => Request::Job(Job::Market(MarketJob {
@@ -532,7 +541,7 @@ impl Envelope {
                         .ok_or_else(|| JsonError("`market` must be a string".into()))?,
                 )?,
                 budget: num_field(v, "budget", 100.0f64)?,
-                len: num_field(v, "len", 30_000usize)?,
+                len: len_field(v, 30_000)?,
                 seed: num_field(v, "seed", 0xA5_2014u64)?,
             })),
             "dc" => {

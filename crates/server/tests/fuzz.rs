@@ -10,19 +10,26 @@
 //! `RequestParser` are mutated the same way plus oversized heads and
 //! bodies, and fed split across random `feed` calls; every failure must
 //! be an `HttpError` at its status (400 malformed, 413 oversized), and
-//! the split must not change the outcome. The stream is seeded, so a
-//! failure reproduces by its printed case number alone.
+//! the split must not change the outcome. Whole `--cache-file` files
+//! are mangled too: the loader must return `Ok` or `InvalidData`, and
+//! every entry it keeps must be one the file was saved with. A job's
+//! `len` is tried at and past `MAX_TRACE_LEN`, on the parser and on a
+//! live daemon that must go on answering `ping`. The stream is seeded,
+//! so a failure reproduces by its printed case number alone.
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
 use sharing_http::{HttpError, Limits, RequestParser};
 use sharing_json::Json;
 use sharing_market::{Market, UtilityFn};
 use sharing_server::{
-    DcJob, Envelope, ErrorCode, Job, JobWorkload, MarketJob, Request, RunJob, ServerError,
-    SweepJob, PROTO_VERSION,
+    DcJob, Envelope, ErrorCode, Job, JobWorkload, MarketJob, Request, ResultCache, RunJob, Server,
+    ServerConfig, ServerError, SweepJob, PROTO_VERSION,
 };
-use sharing_trace::{Benchmark, Rng64};
+use sharing_trace::{Benchmark, Rng64, MAX_TRACE_LEN};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 const CASES: u64 = 2_000;
 
@@ -223,6 +230,207 @@ fn mutated_fault_plans_never_panic_the_plan_parser() {
             panic!("case {case}: plan parser panicked or check failed on {head:?}");
         }
     }
+}
+
+/// `len` values at both bounds and far past the upper one, with whether
+/// a job may carry them. `1e12` is a float, so it fails the integer
+/// parse before the bounds are consulted.
+fn len_boundaries() -> [(String, bool); 7] {
+    [
+        ("0".to_string(), false),
+        ((MAX_TRACE_LEN - 1).to_string(), true),
+        (MAX_TRACE_LEN.to_string(), true),
+        ((MAX_TRACE_LEN + 1).to_string(), false),
+        (u64::MAX.to_string(), false),
+        ("1000000000000".to_string(), false),
+        ("1e12".to_string(), false),
+    ]
+}
+
+/// `line` with its `len` value replaced by the literal `len`.
+fn with_len(line: &str, len: &str) -> String {
+    let at = line.find("\"len\":").expect("job lines carry a len") + "\"len\":".len();
+    let end = at
+        + line[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("len ends");
+    format!("{}{len}{}", &line[..at], &line[end..])
+}
+
+fn job_len(job: &Job) -> usize {
+    match job {
+        Job::Run(j) => j.len,
+        Job::Sweep(j) => j.len,
+        Job::Market(j) => j.len,
+        Job::Dc(_) => unreachable!("dc jobs carry no len"),
+    }
+}
+
+#[test]
+fn job_lengths_are_capped_at_parse() {
+    let jobs: Vec<String> = valid_lines()
+        .into_iter()
+        .filter(|l| l.contains("\"len\":"))
+        .collect();
+    assert_eq!(jobs.len(), 3, "run, sweep and market carry a len");
+    for line in &jobs {
+        for (len, accepted) in len_boundaries() {
+            let text = with_len(line, &len);
+            match Envelope::parse(&text) {
+                Ok(Envelope {
+                    req: Request::Job(job),
+                    ..
+                }) => {
+                    assert!(accepted, "{text}");
+                    assert_eq!(job_len(&job).to_string(), len, "{text}");
+                }
+                Ok(other) => panic!("{text}: parsed as {other:?}"),
+                Err(e) => {
+                    assert!(!accepted, "{text}: {e:?}");
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{text}");
+                    if len.bytes().all(|c| c.is_ascii_digit()) {
+                        assert!(e.message.contains("`len`"), "{text}: {e:?}");
+                        assert!(e.message.contains(&MAX_TRACE_LEN.to_string()), "{e:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_live_daemon_refuses_oversized_lengths_and_keeps_serving() {
+    let handle = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_capacity: 4,
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    };
+    // Generating this trace would ask for 3.2 TB at once.
+    let mut lines = vec![
+        r#"{"type":"run","benchmark":"gcc","slices":2,"banks":4,"len":100000000000,"seed":1}"#
+            .to_string(),
+    ];
+    for line in valid_lines().iter().filter(|l| l.contains("\"len\":")) {
+        lines.extend(
+            len_boundaries()
+                .into_iter()
+                .filter(|(_, accepted)| !accepted)
+                .map(|(len, _)| with_len(line, &len)),
+        );
+    }
+    for line in &lines {
+        raw.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let v = reply();
+        let err = ServerError::from_reply(&v).unwrap_or_else(|| panic!("{line}: {v}"));
+        assert_eq!(err.code, ErrorCode::BadRequest, "{line}: {v}");
+    }
+    raw.write_all(b"{\"type\":\"ping\"}\n").unwrap();
+    let pong = reply();
+    assert_eq!(
+        pong.get("type").and_then(Json::as_str),
+        Some("pong"),
+        "{pong}"
+    );
+    handle.stop();
+}
+
+/// Headers a cache file must not be mistaken for.
+const FOREIGN_HEADERS: [&str; 5] = [
+    "ssimd-cache v1",
+    "ssimd-cache v3",
+    "",
+    "SSIMD-CACHE V2",
+    "{",
+];
+
+/// One to three mutations of a whole cache file: byte-level mutations,
+/// whole lines spliced, swapped or dropped, or a foreign header.
+fn mangle_cache_file(rng: &mut Rng64, text: &str) -> Vec<u8> {
+    let mut b = text.as_bytes().to_vec();
+    for _ in 0..rng.usize_inclusive(1, 3) {
+        let lossy = String::from_utf8_lossy(&b).into_owned();
+        let mut lines: Vec<&str> = lossy.lines().collect();
+        let pick = |rng: &mut Rng64, n: usize| rng.below(n.max(1) as u64) as usize;
+        match rng.below(5) {
+            0 | 1 => b = mutate(rng, &lossy),
+            2 if !lines.is_empty() => {
+                let from = lines[pick(rng, lines.len())];
+                lines.insert(pick(rng, lines.len() + 1), from);
+                b = (lines.join("\n") + "\n").into_bytes();
+            }
+            3 if lines.len() > 1 => {
+                let (i, j) = (pick(rng, lines.len()), pick(rng, lines.len()));
+                if rng.bool(0.5) {
+                    lines.swap(i, j);
+                } else {
+                    lines.remove(i);
+                }
+                b = (lines.join("\n") + "\n").into_bytes();
+            }
+            _ if !lines.is_empty() => {
+                lines[0] = FOREIGN_HEADERS[pick(rng, FOREIGN_HEADERS.len())];
+                b = (lines.join("\n") + "\n").into_bytes();
+            }
+            _ => {}
+        }
+    }
+    b
+}
+
+#[test]
+fn mangled_cache_files_never_panic_the_loader_or_serve_a_damaged_entry() {
+    let cache = ResultCache::new(64);
+    for (i, line) in valid_lines().iter().enumerate() {
+        if let Request::Job(job) = Envelope::parse(line).unwrap().req {
+            cache.insert(
+                &job.cache_key(),
+                &format!("{{\"ipc\":{i}.25,\"cycles\":{}}}", 800 + i),
+            );
+        }
+    }
+    let genuine = cache.snapshot();
+    assert_eq!(genuine.len(), 4, "one entry per job kind");
+    let path = std::env::temp_dir().join(format!("ssimd-cache-fuzz-{}", std::process::id()));
+    cache.save_to_file(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        ResultCache::new(64).load_from_file(&path).unwrap(),
+        genuine.len()
+    );
+    for case in 0..CASES {
+        let mut rng = Rng64::seed_from_u64(0xCAC4E + case);
+        let bytes = mangle_cache_file(&mut rng, &text);
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = ResultCache::new(64);
+        let checked = catch_unwind(AssertUnwindSafe(|| {
+            if let Err(e) = loaded.load_from_file(&path) {
+                assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "case {case}: {e}"
+                );
+            }
+            for entry in loaded.snapshot() {
+                assert!(genuine.contains(&entry), "case {case}: served {entry:?}");
+            }
+        }));
+        if checked.is_err() {
+            let head = String::from_utf8_lossy(&bytes[..bytes.len().min(400)]).into_owned();
+            panic!("case {case}: cache loader panicked or check failed on {head:?}");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// Valid requests as clients send them, pipelined pairs included.

@@ -53,5 +53,5 @@ pub use profile::{AccessPattern, MemRegion, WorkloadProfile};
 pub use reuse::ReuseProfile;
 pub use rng::Rng64;
 pub use stats::TraceStats;
-pub use trace::{ThreadedTrace, Trace, TraceSpec};
+pub use trace::{ThreadedTrace, Trace, TraceSpec, MAX_TRACE_LEN};
 pub use workload::Workload;

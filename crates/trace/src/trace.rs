@@ -17,11 +17,34 @@ pub struct TraceSpec {
 
 sharing_json::json_struct!(TraceSpec { len, seed });
 
+/// The longest trace, in dynamic instructions per thread, a job may ask
+/// for. Generation allocates the whole trace up front, about 32 bytes
+/// an instruction, so an unchecked length can abort the process; a
+/// four-thread job at the cap holds about 128 MiB. The longest in-tree
+/// run uses 600 000.
+pub const MAX_TRACE_LEN: usize = 1_000_000;
+
 impl TraceSpec {
     /// Creates a spec.
     #[must_use]
     pub fn new(len: usize, seed: u64) -> Self {
         TraceSpec { len, seed }
+    }
+
+    /// Checks a requested trace length, for every front end that takes
+    /// one from outside: at least 1 (the generator refuses an empty
+    /// trace) and at most [`MAX_TRACE_LEN`].
+    ///
+    /// # Errors
+    ///
+    /// A message stating the bounds, for the caller to prefix with the
+    /// name of its field.
+    pub fn check_len(len: usize) -> Result<usize, String> {
+        if (1..=MAX_TRACE_LEN).contains(&len) {
+            Ok(len)
+        } else {
+            Err(format!("must be between 1 and {MAX_TRACE_LEN}, got {len}"))
+        }
     }
 }
 

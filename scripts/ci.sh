@@ -30,7 +30,6 @@ EXAMPLES=(
   autotune           # area: area-constrained configuration search
   datacenter_mix     # hv: chip allocator under a tenant mix
   iaas_market        # market: the §5.6 sub-core market end to end
-  spot_prices        # market + json: spot-price series serialization
   dc_scenario        # dc: discrete-event datacenter, sharing vs fixed
   serve_jobs         # server: ssimd daemon end to end
   trace_a_run        # obs: two-clock tracing + Prometheus counters
@@ -169,6 +168,17 @@ HOSTILE_REPLY=$(timeout 10 bash -c '
   printf "%s\n" "$reply"')
 grep -q '"code":"bad_request"' <<<"$HOSTILE_REPLY"
 "$SSIM" submit --addr 127.0.0.1:24115 --ping >/dev/null
+# A short run line whose len would allocate 3.2 TB is refused at parse,
+# on a worker and on the coordinator, and both go on serving.
+for port in 24116 24117; do
+  LEN_REPLY=$(timeout 10 bash -c '
+    exec 3<>/dev/tcp/127.0.0.1/'"$port"'
+    printf "%s\n" "{\"type\":\"run\",\"benchmark\":\"gcc\",\"slices\":2,\"banks\":4,\"len\":100000000000,\"seed\":1}" >&3
+    IFS= read -r reply <&3
+    printf "%s\n" "$reply"')
+  grep -q '"code":"bad_request"' <<<"$LEN_REPLY"
+  "$SSIM" submit --addr "127.0.0.1:$port" --ping >/dev/null
+done
 "$SSIM" submit --addr 127.0.0.1:24117 --shutdown >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24115 --shutdown >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24116 --shutdown >/dev/null
