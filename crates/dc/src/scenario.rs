@@ -12,7 +12,22 @@ use sharing_core::VCoreShape;
 use sharing_hv::billing::Tariff;
 use sharing_hv::cloud::PlacementPolicy;
 use sharing_json::{FromJson, Json, JsonError, ToJson};
-use sharing_trace::ALL_BENCHMARKS;
+use sharing_trace::{ALL_BENCHMARKS, MAX_TRACE_LEN};
+
+/// Most chips a scenario may ask for.
+pub const MAX_CHIPS: usize = 256;
+/// Most tile rows per chip.
+pub const MAX_ROWS: usize = 256;
+/// Most tile columns per chip.
+pub const MAX_COLS: usize = 256;
+/// Most market epochs one run may simulate.
+pub const MAX_EPOCHS: usize = 10_000;
+/// Highest mean arrival rate, in tenants per epoch (base and burst).
+pub const MAX_ARRIVAL_RATE: f64 = 100.0;
+/// Most VCores one tenant may hold.
+pub const MAX_TENANT_VCORES: usize = 1_024;
+/// Most tâtonnement iterations per clearing.
+pub const MAX_AUCTION_ITERATIONS: usize = 10_000;
 
 /// Implements `ToJson`/`FromJson` where every listed field is optional in
 /// the input and falls back to the *struct's* `Default` value (unlike
@@ -393,6 +408,10 @@ impl Scenario {
 
     /// Validates every field, returning the first problem found.
     ///
+    /// Every size has a const cap (`MAX_CHIPS`, `MAX_EPOCHS`, …), so a
+    /// scenario that passes cannot ask a run for unbounded memory. The
+    /// caps do not bound its CPU time.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending field.
@@ -400,37 +419,42 @@ impl Scenario {
         if self.name.is_empty() {
             return Err("scenario needs a non-empty `name`".to_string());
         }
-        if self.chips == 0 {
-            return Err("`chips` must be positive".to_string());
+        if !(1..=MAX_CHIPS).contains(&self.chips) {
+            return Err(format!("`chips` must be in 1..={MAX_CHIPS}"));
         }
-        if self.rows == 0 || self.cols < 2 {
-            return Err("chip needs `rows` >= 1 and `cols` >= 2".to_string());
+        if !(1..=MAX_ROWS).contains(&self.rows) {
+            return Err(format!("`rows` must be in 1..={MAX_ROWS}"));
         }
-        if self.rows > u16::MAX as usize || self.cols > u16::MAX as usize {
-            return Err("`rows`/`cols` exceed the chip grid limit".to_string());
+        if !(2..=MAX_COLS).contains(&self.cols) {
+            return Err(format!("`cols` must be in 2..={MAX_COLS}"));
         }
-        if self.epochs == 0 {
-            return Err("`epochs` must be positive".to_string());
+        if !(1..=MAX_EPOCHS).contains(&self.epochs) {
+            return Err(format!("`epochs` must be in 1..={MAX_EPOCHS}"));
         }
         if self.epoch_cycles < 2 {
             return Err("`epoch_cycles` must be at least 2".to_string());
         }
         let a = &self.arrivals;
-        if a.base_rate < 0.0 || a.burst_rate < 0.0 {
-            return Err("arrival rates must be non-negative".to_string());
+        for (field, rate) in [("base_rate", a.base_rate), ("burst_rate", a.burst_rate)] {
+            // `contains` is false for NaN, so this also refuses it.
+            if !(0.0..=MAX_ARRIVAL_RATE).contains(&rate) {
+                return Err(format!(
+                    "`{field}` must be in 0..={MAX_ARRIVAL_RATE} arrivals per epoch"
+                ));
+            }
         }
         if a.base_rate == 0.0 && (a.burst_rate == 0.0 || a.burst_len == 0) {
             return Err("arrival process never produces a tenant".to_string());
         }
-        if a.mean_residence < 1.0 {
-            return Err("`mean_residence` must be >= 1 epoch".to_string());
+        if !(a.mean_residence >= 1.0 && a.mean_residence.is_finite()) {
+            return Err("`mean_residence` must be finite and >= 1 epoch".to_string());
         }
         let t = &self.tenants;
-        if !(t.budget_min > 0.0 && t.budget_max >= t.budget_min) {
-            return Err("tenant budgets need 0 < budget_min <= budget_max".to_string());
+        if !(t.budget_min > 0.0 && t.budget_max >= t.budget_min && t.budget_max.is_finite()) {
+            return Err("tenant budgets need 0 < budget_min <= budget_max, finite".to_string());
         }
-        if t.max_vcores == 0 {
-            return Err("`max_vcores` must be positive".to_string());
+        if !(1..=MAX_TENANT_VCORES).contains(&t.max_vcores) {
+            return Err(format!("`max_vcores` must be in 1..={MAX_TENANT_VCORES}"));
         }
         if t.benchmark_names().is_empty() {
             return Err("tenant benchmark pool is empty".to_string());
@@ -438,8 +462,10 @@ impl Scenario {
         match self.surfaces.source.as_str() {
             "synthetic" => {}
             "calibrated" => {
-                if self.surfaces.trace_len == 0 {
-                    return Err("calibrated surfaces need `trace_len` > 0".to_string());
+                if !(1..=MAX_TRACE_LEN).contains(&self.surfaces.trace_len) {
+                    return Err(format!(
+                        "calibrated surfaces need `trace_len` in 1..={MAX_TRACE_LEN}"
+                    ));
                 }
                 for name in self.tenants.benchmark_names() {
                     if sharing_trace::Benchmark::from_name(&name).is_none() {
@@ -464,8 +490,13 @@ impl Scenario {
         if self.fixed_tariff.slice_price <= 0.0 || self.fixed_tariff.bank_price < 0.0 {
             return Err("fixed tariff needs slice_price > 0 and bank_price >= 0".to_string());
         }
-        if self.auction.max_iterations == 0 || self.auction.tolerance <= 0.0 {
-            return Err("auction needs max_iterations > 0 and tolerance > 0".to_string());
+        if !(1..=MAX_AUCTION_ITERATIONS).contains(&self.auction.max_iterations) {
+            return Err(format!(
+                "auction `max_iterations` must be in 1..={MAX_AUCTION_ITERATIONS}"
+            ));
+        }
+        if self.auction.tolerance.is_nan() || self.auction.tolerance <= 0.0 {
+            return Err("auction needs `tolerance` > 0".to_string());
         }
         self.placement_policy()?;
         Ok(())

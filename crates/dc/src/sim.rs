@@ -28,6 +28,7 @@ use sharing_trace::rng::Rng64;
 use sharing_trace::Benchmark;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// FNV-1a over bytes; used for synthetic surface shaping and log hashing.
 #[must_use]
@@ -41,10 +42,11 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Per-workload performance surfaces, resolved before the event loop
-/// starts.
+/// starts. Each surface is shared: every epoch's auction bids it by
+/// reference count, never by copy.
 #[derive(Clone, Debug)]
 pub struct SurfaceCatalog {
-    entries: Vec<PerfSurface>,
+    entries: Vec<Arc<PerfSurface>>,
 }
 
 impl SurfaceCatalog {
@@ -57,7 +59,7 @@ impl SurfaceCatalog {
     pub fn build(sc: &Scenario) -> Result<Self, String> {
         let names = sc.tenants.benchmark_names();
         let entries = match sc.surfaces.source.as_str() {
-            "synthetic" => names.iter().map(|n| Self::synthetic(n)).collect(),
+            "synthetic" => names.iter().map(|n| Arc::new(Self::synthetic(n))).collect(),
             "calibrated" => {
                 let benches: Vec<Benchmark> = names
                     .iter()
@@ -71,7 +73,10 @@ impl SurfaceCatalog {
                     calibration: sharing_trace::CALIBRATION_VERSION,
                 };
                 let suite = SuiteSurfaces::build_subset(spec, &benches);
-                benches.iter().map(|&b| suite.surface(b).clone()).collect()
+                benches
+                    .iter()
+                    .map(|&b| Arc::new(suite.surface(b).clone()))
+                    .collect()
             }
             other => return Err(format!("unknown surface source `{other}`")),
         };
@@ -99,7 +104,7 @@ impl SurfaceCatalog {
     ///
     /// Panics if the index is out of range.
     #[must_use]
-    pub fn surface(&self, index: usize) -> &PerfSurface {
+    pub fn surface(&self, index: usize) -> &Arc<PerfSurface> {
         &self.entries[index]
     }
 
@@ -909,7 +914,7 @@ impl Engine<'_> {
                 for t in self.residents.values() {
                     auction.add_bidder(Bidder {
                         name: format!("t{}", t.spawn.id),
-                        surface: self.sim.catalog.surface(t.spawn.bench).clone(),
+                        surface: Arc::clone(self.sim.catalog.surface(t.spawn.bench)),
                         utility: t.spawn.utility,
                         budget: t.spawn.budget,
                     });

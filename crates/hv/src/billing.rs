@@ -9,7 +9,7 @@
 //! the ledger can be compared against a fixed-instance provider that can
 //! only bill whole cores.
 
-use crate::hypervisor::{HvStats, Hypervisor};
+use crate::hypervisor::Hypervisor;
 use sharing_core::VCoreShape;
 
 /// Prices per billing period (abstract currency, matching
@@ -76,7 +76,6 @@ impl Ledger {
     /// paying for) as many fixed instances as needed to cover its
     /// resources.
     pub fn meter(&mut self, hv: &Hypervisor, tariff: Tariff, fixed_instance: VCoreShape) {
-        let stats: HvStats = hv.stats();
         let mut revenue = 0.0;
         let mut fixed_revenue = 0.0;
         let fixed_rate = tariff.rate(fixed_instance);
@@ -101,8 +100,8 @@ impl Ledger {
             period: self.periods.len() as u64,
             revenue,
             fixed_instance_revenue: fixed_revenue,
-            slice_utilization: stats.slice_utilization,
-            bank_utilization: stats.bank_utilization,
+            slice_utilization: hv.slice_utilization(),
+            bank_utilization: hv.bank_utilization(),
         });
     }
 

@@ -118,20 +118,16 @@ impl Chip {
         self.occupied[row as usize][col as usize] = value;
     }
 
-    /// Total Slice tiles on the chip.
+    /// Total Slice tiles on the chip: the even columns of every row.
     #[must_use]
     pub fn total_slices(&self) -> usize {
-        self.iter_tiles()
-            .filter(|t| t.kind == TileKind::Slice)
-            .count()
+        usize::from(self.rows) * usize::from(self.cols).div_ceil(2)
     }
 
-    /// Total cache-bank tiles on the chip.
+    /// Total cache-bank tiles on the chip: the odd columns of every row.
     #[must_use]
     pub fn total_banks(&self) -> usize {
-        self.iter_tiles()
-            .filter(|t| t.kind == TileKind::CacheBank)
-            .count()
+        usize::from(self.rows) * (usize::from(self.cols) / 2)
     }
 
     /// Iterates all tiles in row-major order.
@@ -182,11 +178,11 @@ impl Chip {
         Some(free)
     }
 
-    /// Fraction of free Slice capacity that is unusable for the largest
-    /// possible contiguous request — a fragmentation measure: 0.0 means the
-    /// largest free run covers all free Slices, 1.0 means no free Slices
-    /// can serve any contiguous request of the largest run's size... more
-    /// precisely `1 - largest_free_run / free_slices` (0 when empty).
+    /// Slice fragmentation: `1 - largest_free_run / free_slices`, the
+    /// share of free Slices that lie outside the longest contiguous free
+    /// run of any row. 0.0 means one run holds every free Slice (also when
+    /// none are free); values near 1.0 mean free Slices are scattered in
+    /// short runs that cannot serve a large contiguous request.
     #[must_use]
     pub fn slice_fragmentation(&self) -> f64 {
         let free: usize = self
@@ -226,6 +222,20 @@ mod tests {
         assert_eq!(chip.kind_at(0, 1), TileKind::CacheBank);
         assert_eq!(chip.total_slices(), 16);
         assert_eq!(chip.total_banks(), 16);
+    }
+
+    #[test]
+    fn closed_form_totals_match_the_tile_grid() {
+        for (rows, cols) in [(1, 1), (1, 2), (3, 5), (2, 8), (7, 13), (8, 16)] {
+            let chip = Chip::new(rows, cols);
+            let count = |kind| chip.iter_tiles().filter(|t| t.kind == kind).count();
+            assert_eq!(chip.total_slices(), count(TileKind::Slice), "{rows}x{cols}");
+            assert_eq!(
+                chip.total_banks(),
+                count(TileKind::CacheBank),
+                "{rows}x{cols}"
+            );
+        }
     }
 
     #[test]

@@ -111,24 +111,22 @@ impl Cloud {
         &self.chips[chip]
     }
 
+    /// Chips with enough free Slices and banks for `shape`, in the order
+    /// the policy tries them (a stable sort, so ties keep chip order).
     fn candidate_order(&self, shape: VCoreShape) -> Vec<usize> {
-        let free_slices =
-            |hv: &Hypervisor| hv.chip().total_slices() as i64 - hv.stats().slices_used as i64;
         let mut order: Vec<usize> = (0..self.chips.len())
             .filter(|&i| {
                 let hv = &self.chips[i];
-                let s = hv.stats();
-                hv.chip().total_slices() - s.slices_used >= shape.slices
-                    && hv.chip().total_banks() - s.banks_used >= shape.l2_banks
+                hv.free_slices() >= shape.slices && hv.free_banks() >= shape.l2_banks
             })
             .collect();
         match self.policy {
             PlacementPolicy::FirstFit => {}
             PlacementPolicy::BestFit => {
-                order.sort_by_key(|&i| free_slices(&self.chips[i]));
+                order.sort_by_key(|&i| self.chips[i].free_slices());
             }
             PlacementPolicy::WorstFit => {
-                order.sort_by_key(|&i| -free_slices(&self.chips[i]));
+                order.sort_by_key(|&i| std::cmp::Reverse(self.chips[i].free_slices()));
             }
         }
         order
@@ -195,6 +193,7 @@ impl Cloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::TileKind;
 
     fn shape(s: usize, b: usize) -> VCoreShape {
         VCoreShape::new(s, b).unwrap()
@@ -262,6 +261,117 @@ mod tests {
         let s = cloud.stats();
         assert_eq!(s.slice_utilization.len(), 3);
         assert_eq!(s.live_vcores, 1);
+    }
+
+    /// The tile grid's own count of free tiles of one kind.
+    fn recount(hv: &Hypervisor, kind: TileKind) -> usize {
+        let chip = hv.chip();
+        chip.iter_tiles()
+            .filter(|t| t.kind == kind && !chip.is_occupied(t.row, t.col))
+            .count()
+    }
+
+    /// `candidate_order` from first principles: grid-scanned totals minus
+    /// the leases' summed tiles, negated (not reversed) for worst-fit.
+    fn reference_order(cloud: &Cloud, shape: VCoreShape) -> Vec<usize> {
+        let used = |hv: &Hypervisor| -> (usize, usize) {
+            hv.leases()
+                .fold((0, 0), |(s, b), l| (s + l.slices.len(), b + l.banks.len()))
+        };
+        let count =
+            |hv: &Hypervisor, kind| hv.chip().iter_tiles().filter(|t| t.kind == kind).count();
+        let free_slices = |hv: &Hypervisor| count(hv, TileKind::Slice) as i64 - used(hv).0 as i64;
+        let mut order: Vec<usize> = (0..cloud.chips.len())
+            .filter(|&i| {
+                let hv = &cloud.chips[i];
+                let (s, b) = used(hv);
+                count(hv, TileKind::Slice) - s >= shape.slices
+                    && count(hv, TileKind::CacheBank) - b >= shape.l2_banks
+            })
+            .collect();
+        match cloud.policy {
+            PlacementPolicy::FirstFit => {}
+            PlacementPolicy::BestFit => order.sort_by_key(|&i| free_slices(&cloud.chips[i])),
+            PlacementPolicy::WorstFit => order.sort_by_key(|&i| -free_slices(&cloud.chips[i])),
+        }
+        order
+    }
+
+    #[test]
+    fn occupancy_counters_match_a_recount_under_random_operations() {
+        let policies = [
+            PlacementPolicy::FirstFit,
+            PlacementPolicy::BestFit,
+            PlacementPolicy::WorstFit,
+        ];
+        // Leases placed/denied, reconfigures done/failed, compactions
+        // that moved something: every path must be taken.
+        let mut tally = [0usize; 5];
+        for seed in 1..=12u64 {
+            // xorshift64*: a fixed stream per seed.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |bound: usize| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+            };
+            let policy = policies[seed as usize % 3];
+            let mut cloud = Cloud::new(1 + next(4), 1 + next(3) as u16, 4 + next(9) as u16, policy);
+            let mut live: Vec<CloudLease> = Vec::new();
+            for step in 0..300 {
+                let random_shape =
+                    |next: &mut dyn FnMut(usize) -> usize| shape(1 + next(6), next(7));
+                match next(10) {
+                    0..=3 => match cloud.lease(random_shape(&mut next)) {
+                        Ok(l) => {
+                            live.push(l);
+                            tally[0] += 1;
+                        }
+                        Err(_) => tally[1] += 1,
+                    },
+                    4..=6 if !live.is_empty() => {
+                        let l = live.swap_remove(next(live.len()));
+                        cloud.release(l).unwrap();
+                    }
+                    7 | 8 if !live.is_empty() => {
+                        let k = next(live.len());
+                        let l = live[k];
+                        let new_shape = random_shape(&mut next);
+                        match cloud.chips[l.chip].reconfigure(l.lease, new_shape) {
+                            Ok(id) => {
+                                live[k].lease = id;
+                                tally[2] += 1;
+                            }
+                            Err(_) => tally[3] += 1,
+                        }
+                    }
+                    _ => {
+                        let chip = next(cloud.chips.len());
+                        if cloud.chips[chip].compact() > 0 {
+                            tally[4] += 1;
+                        }
+                    }
+                }
+                for (i, hv) in cloud.chips.iter().enumerate() {
+                    let at = format!("seed {seed} step {step} chip {i}");
+                    assert_eq!(hv.free_slices(), recount(hv, TileKind::Slice), "{at}");
+                    assert_eq!(hv.free_banks(), recount(hv, TileKind::CacheBank), "{at}");
+                }
+                assert_eq!(cloud.stats().live_vcores, live.len());
+                for s in 1..=8 {
+                    for b in [0, 1, 3, 8] {
+                        let sh = shape(s, b);
+                        assert_eq!(
+                            cloud.candidate_order(sh),
+                            reference_order(&cloud, sh),
+                            "seed {seed} step {step} shape {sh}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(tally.iter().all(|&n| n > 0), "untaken path: {tally:?}");
     }
 
     #[test]

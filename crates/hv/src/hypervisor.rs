@@ -1,6 +1,6 @@
 //! VCore lease management.
 
-use crate::chip::{Chip, Tile, TileKind};
+use crate::chip::{Chip, Tile};
 use sharing_core::{ReconfigCosts, VCoreShape};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -92,6 +92,11 @@ pub struct HvStats {
 }
 
 /// The hypervisor: owns the chip and manages VCore leases.
+///
+/// Occupancy is kept as two counters, updated by every lease and release,
+/// so a placement query ([`Hypervisor::free_slices`],
+/// [`Hypervisor::free_banks`]) costs O(1) rather than a pass over the
+/// leases or the tile grid.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
     chip: Chip,
@@ -99,6 +104,10 @@ pub struct Hypervisor {
     // sums floats lease by lease — visits leases in id order and stays
     // bit-for-bit reproducible across processes.
     leases: BTreeMap<LeaseId, Lease>,
+    /// Slices held by live leases.
+    slices_used: usize,
+    /// Banks held by live leases.
+    banks_used: usize,
     next_id: u64,
     costs: ReconfigCosts,
     reconfig_cycles: u64,
@@ -112,6 +121,8 @@ impl Hypervisor {
         Hypervisor {
             chip,
             leases: BTreeMap::new(),
+            slices_used: 0,
+            banks_used: 0,
             next_id: 1,
             costs: ReconfigCosts::paper(),
             reconfig_cycles: 0,
@@ -123,6 +134,45 @@ impl Hypervisor {
     #[must_use]
     pub fn chip(&self) -> &Chip {
         &self.chip
+    }
+
+    /// Slice tiles no lease holds.
+    #[must_use]
+    pub fn free_slices(&self) -> usize {
+        self.chip.total_slices() - self.slices_used
+    }
+
+    /// Cache-bank tiles no lease holds.
+    #[must_use]
+    pub fn free_banks(&self) -> usize {
+        self.chip.total_banks() - self.banks_used
+    }
+
+    /// Slice utilization in `[0, 1]`.
+    #[must_use]
+    pub fn slice_utilization(&self) -> f64 {
+        self.slices_used as f64 / self.chip.total_slices() as f64
+    }
+
+    /// Bank utilization in `[0, 1]`.
+    #[must_use]
+    pub fn bank_utilization(&self) -> f64 {
+        self.banks_used as f64 / self.chip.total_banks() as f64
+    }
+
+    /// Marks a lease's tiles taken (`held`) or free and keeps the
+    /// occupancy counters in step.
+    fn occupy(&mut self, slices: &[Tile], banks: &[Tile], held: bool) {
+        for t in slices.iter().chain(banks) {
+            self.chip.set_occupied(t.row, t.col, held);
+        }
+        if held {
+            self.slices_used += slices.len();
+            self.banks_used += banks.len();
+        } else {
+            self.slices_used -= slices.len();
+            self.banks_used -= banks.len();
+        }
     }
 
     /// Leases a VCore of the given shape: contiguous Slices plus the
@@ -146,22 +196,13 @@ impl Hypervisor {
             Some(b) => b,
             None => {
                 self.denials += 1;
-                let free = self
-                    .chip
-                    .iter_tiles()
-                    .filter(|t| {
-                        t.kind == TileKind::CacheBank && !self.chip.is_occupied(t.row, t.col)
-                    })
-                    .count();
                 return Err(HvError::InsufficientBanks {
                     wanted: shape.l2_banks,
-                    free,
+                    free: self.free_banks(),
                 });
             }
         };
-        for t in slices.iter().chain(&banks) {
-            self.chip.set_occupied(t.row, t.col, true);
-        }
+        self.occupy(&slices, &banks, true);
         let id = LeaseId(self.next_id);
         self.next_id += 1;
         self.leases.insert(
@@ -197,9 +238,7 @@ impl Hypervisor {
     /// [`HvError::UnknownLease`] if the id is not live.
     pub fn release(&mut self, id: LeaseId) -> Result<Lease, HvError> {
         let lease = self.leases.remove(&id).ok_or(HvError::UnknownLease(id))?;
-        for t in lease.slices.iter().chain(&lease.banks) {
-            self.chip.set_occupied(t.row, t.col, false);
-        }
+        self.occupy(&lease.slices, &lease.banks, false);
         self.reconfig_cycles += if lease.banks.is_empty() {
             self.costs.slice_only
         } else {
@@ -214,7 +253,9 @@ impl Hypervisor {
     ///
     /// # Errors
     ///
-    /// Propagates lease errors; on failure the original lease is restored.
+    /// Propagates lease errors; on failure the original lease is restored
+    /// and no reconfiguration cost is charged (the refused request still
+    /// counts as a denial).
     pub fn reconfigure(&mut self, id: LeaseId, new_shape: VCoreShape) -> Result<LeaseId, HvError> {
         let old = self.release(id)?;
         // `release` charged a teardown; replace that with the paper's
@@ -232,11 +273,9 @@ impl Hypervisor {
                 Ok(new_id)
             }
             Err(e) => {
-                // Restore the original allocation.
-                for t in old.slices.iter().chain(&old.banks) {
-                    self.chip.set_occupied(t.row, t.col, true);
-                }
-                self.reconfig_cycles -= self.costs.slice_only;
+                // Restore the original allocation. The teardown charge is
+                // already undone and a failed `lease` charges nothing.
+                self.occupy(&old.slices, &old.banks, true);
                 self.leases.insert(old.id, old);
                 Err(e)
             }
@@ -247,18 +286,13 @@ impl Hypervisor {
     /// top-to-bottom ("fixing fragmentation problems is as simple as
     /// rescheduling Slices to VCores", §3). Charges one Slice-only
     /// reconfiguration per moved lease. Returns the number of leases moved.
+    /// The occupancy counters end where they began: every lease is
+    /// re-placed whole.
     pub fn compact(&mut self) -> usize {
-        let mut ids: Vec<LeaseId> = self.leases.keys().copied().collect();
-        ids.sort_unstable();
-        // Free everything, then re-lease largest-first.
-        let mut saved: Vec<Lease> = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(l) = self.leases.remove(&id) {
-                for t in l.slices.iter().chain(&l.banks) {
-                    self.chip.set_occupied(t.row, t.col, false);
-                }
-                saved.push(l);
-            }
+        // Free everything (in id order), then re-lease largest-first.
+        let mut saved: Vec<Lease> = std::mem::take(&mut self.leases).into_values().collect();
+        for l in &saved {
+            self.occupy(&l.slices, &l.banks, false);
         }
         saved.sort_by_key(|l| std::cmp::Reverse(l.shape.slices));
         let mut moved = 0;
@@ -271,9 +305,7 @@ impl Hypervisor {
                 .chip
                 .find_banks_near(slices[0], old.shape.l2_banks)
                 .expect("compaction re-places what fit before");
-            for t in slices.iter().chain(&banks) {
-                self.chip.set_occupied(t.row, t.col, true);
-            }
+            self.occupy(&slices, &banks, true);
             if slices != old.slices || banks != old.banks {
                 moved += 1;
                 self.reconfig_cycles += self.costs.slice_only;
@@ -291,19 +323,16 @@ impl Hypervisor {
         moved
     }
 
-    /// Current utilization/fragmentation statistics.
+    /// Current utilization/fragmentation statistics. Everything but
+    /// `fragmentation` is read from counters; that one scans the grid.
     #[must_use]
     pub fn stats(&self) -> HvStats {
-        let slices_used: usize = self.leases.values().map(|l| l.slices.len()).sum();
-        let banks_used: usize = self.leases.values().map(|l| l.banks.len()).sum();
-        let total_s = self.chip.total_slices();
-        let total_b = self.chip.total_banks();
         HvStats {
             live_vcores: self.leases.len(),
-            slices_used,
-            banks_used,
-            slice_utilization: slices_used as f64 / total_s as f64,
-            bank_utilization: banks_used as f64 / total_b as f64,
+            slices_used: self.slices_used,
+            banks_used: self.banks_used,
+            slice_utilization: self.slice_utilization(),
+            bank_utilization: self.bank_utilization(),
             fragmentation: self.chip.slice_fragmentation(),
             reconfig_cycles: self.reconfig_cycles,
             denials: self.denials,
@@ -387,13 +416,22 @@ mod tests {
 
     #[test]
     fn failed_reconfigure_restores_lease() {
-        let mut hv = Hypervisor::new(Chip::new(1, 8)); // 4 slices per chip
-        let id = hv.lease(shape(2, 0)).unwrap();
-        let _other = hv.lease(shape(2, 0)).unwrap();
-        // No room for 3 slices now.
-        assert!(hv.reconfigure(id, shape(3, 0)).is_err());
-        assert_eq!(hv.stats().live_vcores, 2);
-        assert!(hv.get(id).is_some(), "original lease restored");
+        let mut hv = Hypervisor::new(Chip::new(1, 8)); // 4 slices, 4 banks
+        let id = hv.lease(shape(2, 1)).unwrap();
+        let _other = hv.lease(shape(2, 1)).unwrap();
+        let before = hv.stats();
+        let original = hv.get(id).cloned();
+        // No room for 3 slices now. A failed reconfigure must charge
+        // nothing and leave occupancy as it was, however often it fails.
+        for _ in 0..2 {
+            assert!(hv.reconfigure(id, shape(3, 1)).is_err());
+            let st = hv.stats();
+            assert_eq!(st.live_vcores, 2);
+            assert_eq!(st.reconfig_cycles, before.reconfig_cycles);
+            assert_eq!((st.slices_used, st.banks_used), (4, 2));
+            assert_eq!((hv.free_slices(), hv.free_banks()), (0, 2));
+            assert_eq!(hv.get(id).cloned(), original, "original lease restored");
+        }
     }
 
     #[test]

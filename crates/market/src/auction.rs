@@ -14,20 +14,31 @@
 //! cache-tolerant customers toward bank-heavy configurations and vice
 //! versa — exactly the demand-shift behaviour Table 6 shows across
 //! Markets 1–3.
+//!
+//! Each bidder's best response is the §5.6 problem that
+//! [`crate::optimize::best_utility`] solves, but a clearing asks it once
+//! per bidder per iteration at new prices over an unchanged surface. So
+//! [`Auction::clear`] first flattens every surface into a table of
+//! `(shape, P^k)` and each iteration only divides the budget by the
+//! shape's cost; the arithmetic and the tie rule are the ones
+//! `best_utility` uses, so the choice is the same to the bit.
 
 use crate::market::Market;
-use crate::optimize::best_utility;
 use crate::surface::PerfSurface;
 use crate::utility::UtilityFn;
 use sharing_core::VCoreShape;
+use std::sync::Arc;
 
 /// A customer participating in the auction.
 #[derive(Clone, Debug)]
 pub struct Bidder {
     /// Display name.
     pub name: String,
-    /// The customer's measured performance surface.
-    pub surface: PerfSurface,
+    /// The customer's measured performance surface, shared rather than
+    /// owned: a datacenter bids the same catalog surface for every tenant
+    /// running that workload, every epoch, and adding a bidder must not
+    /// copy it.
+    pub surface: Arc<PerfSurface>,
     /// Their utility function.
     pub utility: UtilityFn,
     /// Their budget per market period.
@@ -112,8 +123,39 @@ impl Auction {
         self.bidders.len()
     }
 
-    /// Aggregate demand and allocations at posted prices.
-    fn demand_at(&self, slice_price: f64, bank_price: f64) -> (f64, f64, Vec<Allocation>) {
+    /// Every bidder's surface as `(shape, P^k)` rows in surface order —
+    /// the price-independent half of the utility, built once per
+    /// clearing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a budget is not positive and finite, as
+    /// [`crate::optimize::best_utility`] does.
+    fn tables(&self) -> Vec<Vec<(VCoreShape, f64)>> {
+        self.bidders
+            .iter()
+            .map(|b| {
+                assert!(
+                    b.budget > 0.0 && b.budget.is_finite(),
+                    "budget must be positive and finite"
+                );
+                b.surface
+                    .iter()
+                    .map(|(shape, perf)| (shape, b.utility.perf_power(perf)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Aggregate demand and allocations at posted prices, each bidder
+    /// choosing the shape of highest `v · P^k` from its table (the last
+    /// of equals, as `Iterator::max_by` returns).
+    fn demand_at(
+        &self,
+        tables: &[Vec<(VCoreShape, f64)>],
+        slice_price: f64,
+        bank_price: f64,
+    ) -> (f64, f64, Vec<Allocation>) {
         let market = Market {
             name: "auction",
             slice_price,
@@ -122,16 +164,23 @@ impl Auction {
         let mut slices = 0.0;
         let mut banks = 0.0;
         let mut allocations = Vec::with_capacity(self.bidders.len());
-        for b in &self.bidders {
-            let chosen = best_utility(&b.surface, b.utility, &market, b.budget);
-            let v = market.affordable_cores(chosen.shape, b.budget);
-            slices += v * chosen.shape.slices as f64;
-            banks += v * chosen.shape.l2_banks as f64;
+        for (b, table) in self.bidders.iter().zip(tables) {
+            let (shape, utility) = table
+                .iter()
+                .map(|&(shape, pk)| {
+                    let v = market.affordable_cores(shape, b.budget);
+                    (shape, v.max(0.0) * pk)
+                })
+                .max_by(|x, y| x.1.total_cmp(&y.1))
+                .expect("surfaces are non-empty");
+            let v = market.affordable_cores(shape, b.budget);
+            slices += v * shape.slices as f64;
+            banks += v * shape.l2_banks as f64;
             allocations.push(Allocation {
                 bidder: b.name.clone(),
-                shape: chosen.shape,
+                shape,
                 vcores: v,
-                utility: chosen.value,
+                utility,
             });
         }
         (slices, banks, allocations)
@@ -155,8 +204,9 @@ impl Auction {
         let mut ps = Market::MARKET2.slice_price;
         let mut pb = Market::MARKET2.bank_price;
         let mut best: Option<(f64, Clearing)> = None;
+        let tables = self.tables();
         for iteration in 1..=max_iterations {
-            let (sd, bd, allocations) = self.demand_at(ps, pb);
+            let (sd, bd, allocations) = self.demand_at(&tables, ps, pb);
             let clearing = Clearing {
                 slice_price: ps,
                 bank_price: pb,
@@ -187,6 +237,8 @@ impl Auction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimize::best_utility;
+    use crate::utility::ALL_UTILITIES;
 
     fn surface(slice_love: f64, cache_love: f64) -> PerfSurface {
         PerfSurface::from_fn("syn", move |s| {
@@ -198,7 +250,7 @@ mod tests {
     fn bidder(name: &str, slice_love: f64, cache_love: f64, budget: f64) -> Bidder {
         Bidder {
             name: name.to_string(),
-            surface: surface(slice_love, cache_love),
+            surface: Arc::new(surface(slice_love, cache_love)),
             utility: UtilityFn::Balanced,
             budget,
         }
@@ -259,14 +311,71 @@ mod tests {
         let mut a = Auction::new(1.0, 1.0);
         a.add_bidder(bidder("flex", 1.0, 1.0, 100.0));
         // At slice-heavy prices the bidder buys relatively more banks.
-        let (s_cheap_slices, b_cheap_slices, _) = a.demand_at(1.0, 8.0);
-        let (s_dear_slices, b_dear_slices, _) = a.demand_at(8.0, 1.0);
+        let tables = a.tables();
+        let (s_cheap_slices, b_cheap_slices, _) = a.demand_at(&tables, 1.0, 8.0);
+        let (s_dear_slices, b_dear_slices, _) = a.demand_at(&tables, 8.0, 1.0);
         let ratio_cheap = s_cheap_slices / b_cheap_slices.max(1e-9);
         let ratio_dear = s_dear_slices / b_dear_slices.max(1e-9);
         assert!(
             ratio_dear <= ratio_cheap,
             "slice:bank mix should fall when slices are dear: {ratio_dear} vs {ratio_cheap}"
         );
+    }
+
+    #[test]
+    fn table_demand_is_best_utility_to_the_bit() {
+        let mut a = Auction::new(16.0, 16.0);
+        for (i, utility) in ALL_UTILITIES.into_iter().enumerate() {
+            let f = i as f64;
+            a.add_bidder(Bidder {
+                utility,
+                ..bidder(&format!("b{i}"), 0.4 + f, 2.0 - f * 0.7, 37.5 + 40.0 * f)
+            });
+        }
+        // A bidder whose surface is zero or negative: every shape is worth
+        // exactly 0, so the tie rule alone picks the shape.
+        a.add_bidder(Bidder {
+            name: "idle".into(),
+            surface: Arc::new(PerfSurface::from_fn("idle", |s| {
+                if s.slices > 6 {
+                    -1.0
+                } else {
+                    0.0
+                }
+            })),
+            utility: UtilityFn::LatencyCritical,
+            budget: 64.0,
+        });
+        let tables = a.tables();
+        for (ps, pb) in [
+            (2.0, 1.0),
+            (8.0, 1.0),
+            (2.0, 4.0),
+            (0.37, 11.3),
+            (1e-3, 1e6),
+        ] {
+            let market = Market {
+                name: "auction",
+                slice_price: ps,
+                bank_price: pb,
+            };
+            let (_, _, allocations) = a.demand_at(&tables, ps, pb);
+            for (b, alloc) in a.bidders.iter().zip(&allocations) {
+                let chosen = best_utility(&b.surface, b.utility, &market, b.budget);
+                assert_eq!(alloc.shape, chosen.shape, "{} at ({ps}, {pb})", b.name);
+                assert_eq!(alloc.utility.to_bits(), chosen.value.to_bits());
+                let v = market.affordable_cores(chosen.shape, b.budget);
+                assert_eq!(alloc.vcores.to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be positive")]
+    fn non_positive_budgets_are_rejected() {
+        let mut a = Auction::new(8.0, 8.0);
+        a.add_bidder(bidder("broke", 1.0, 1.0, 0.0));
+        let _ = a.clear(10, 0.1);
     }
 
     #[test]

@@ -49,9 +49,15 @@ impl UtilityFn {
     /// are physical quantities).
     #[must_use]
     pub fn evaluate(self, perf: f64, v: f64) -> f64 {
-        let p = perf.max(0.0);
-        let v = v.max(0.0);
-        v * p.powi(self.exponent() as i32)
+        v.max(0.0) * self.perf_power(perf)
+    }
+
+    /// The performance term `P^k` of [`UtilityFn::evaluate`], with `P`
+    /// clamped to zero. It does not depend on prices, so an auction
+    /// computes it once per shape and reuses it at every price it tries.
+    #[must_use]
+    pub fn perf_power(self, perf: f64) -> f64 {
+        perf.max(0.0).powi(self.exponent() as i32)
     }
 
     /// The paper's name for this function.

@@ -13,11 +13,17 @@
 //! the split must not change the outcome. Whole `--cache-file` files
 //! are mangled too: the loader must return `Ok` or `InvalidData`, and
 //! every entry it keeps must be one the file was saved with. A job's
-//! `len` is tried at and past `MAX_TRACE_LEN`, on the parser and on a
-//! live daemon that must go on answering `ping`. The stream is seeded,
-//! so a failure reproduces by its printed case number alone.
+//! `len` is tried at and past `MAX_TRACE_LEN`, and every capped field of
+//! a `dc` scenario at and past its cap, on the parser and on a live
+//! daemon that must go on answering `ping`. The stream is seeded, so a
+//! failure reproduces by its printed case number alone.
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
+use sharing_dc::scenario::{
+    MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_CHIPS, MAX_COLS, MAX_EPOCHS, MAX_ROWS,
+    MAX_TENANT_VCORES,
+};
+use sharing_dc::Scenario;
 use sharing_http::{HttpError, Limits, RequestParser};
 use sharing_json::Json;
 use sharing_market::{Market, UtilityFn};
@@ -298,6 +304,111 @@ fn job_lengths_are_capped_at_parse() {
     }
 }
 
+/// A 66-byte `dc` line whose run would ask for 104 GB at once.
+const HOSTILE_DC: &str = r#"{"type":"dc","scenario":{"name":"x","epochs":1000000000},"seed":1}"#;
+
+/// A `dc` request line whose scenario sets one field, `section.field` or
+/// a top-level `field`, to the literal `value`. A `surfaces` field comes
+/// with the calibrated source, the only one that reads `trace_len`.
+fn dc_line(path: &str, value: &str) -> String {
+    let field = match path.split_once('.') {
+        None => format!("\"{path}\":{value}"),
+        Some((section, field)) => {
+            let source = if section == "surfaces" {
+                "\"source\":\"calibrated\","
+            } else {
+                ""
+            };
+            format!("\"{section}\":{{{source}\"{field}\":{value}}}")
+        }
+    };
+    format!("{{\"type\":\"dc\",\"scenario\":{{\"name\":\"x\",{field}}},\"seed\":1}}")
+}
+
+/// Every capped scenario field at cap − 1, at its cap, past it and at
+/// ∞ (`1e999` parses to infinity), as `(path, value, accepted, cap)`;
+/// `cap` is what a refusal must name, when the value is of the field's
+/// type.
+fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
+    let mut out = Vec::new();
+    let ints = [
+        ("chips", MAX_CHIPS),
+        ("rows", MAX_ROWS),
+        ("cols", MAX_COLS),
+        ("epochs", MAX_EPOCHS),
+        ("tenants.max_vcores", MAX_TENANT_VCORES),
+        ("surfaces.trace_len", MAX_TRACE_LEN),
+        ("auction.max_iterations", MAX_AUCTION_ITERATIONS),
+    ];
+    for (path, cap) in ints {
+        let named = Some(cap.to_string());
+        out.push((path, (cap - 1).to_string(), true, None));
+        out.push((path, cap.to_string(), true, None));
+        out.push((path, (cap + 1).to_string(), false, named));
+        out.push((path, "1e999".to_string(), false, None));
+    }
+    for path in ["arrivals.base_rate", "arrivals.burst_rate"] {
+        let cap = MAX_ARRIVAL_RATE;
+        let named = Some(cap.to_string());
+        out.push((path, format!("{:?}", cap - 1.0), true, None));
+        out.push((path, format!("{cap:?}"), true, None));
+        out.push((path, format!("{:?}", cap + 1.0), false, named.clone()));
+        out.push((path, "1e999".to_string(), false, named));
+    }
+    // Residence has no cap, only finiteness.
+    out.push(("arrivals.mean_residence", "1e300".to_string(), true, None));
+    out.push(("arrivals.mean_residence", "1e999".to_string(), false, None));
+    out
+}
+
+#[test]
+fn dc_scenarios_are_capped_at_parse() {
+    let hostile = Envelope::parse(HOSTILE_DC).expect_err("hostile dc line");
+    assert_eq!(hostile.code, ErrorCode::BadRequest);
+    assert!(hostile.message.contains("`epochs`"), "{hostile:?}");
+    assert!(hostile.message.contains(&MAX_EPOCHS.to_string()));
+    for (path, value, accepted, cap) in dc_boundaries() {
+        let line = dc_line(path, &value);
+        match Envelope::parse(&line) {
+            Ok(Envelope {
+                req: Request::Job(Job::Dc(_)),
+                ..
+            }) => assert!(accepted, "{line}"),
+            Ok(other) => panic!("{line}: parsed as {other:?}"),
+            Err(e) => {
+                assert!(!accepted, "{line}: {e:?}");
+                assert_eq!(e.code, ErrorCode::BadRequest, "{line}");
+                let field = path.rsplit('.').next().expect("non-empty path");
+                assert!(e.message.contains(field), "{line}: {e:?}");
+                if let Some(cap) = cap {
+                    assert!(e.message.contains(&cap), "{line}: {e:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dc_scenarios_refuse_nan() {
+    type Poison = fn(&mut Scenario);
+    let fields: [(&str, Poison); 5] = [
+        ("base_rate", |s| s.arrivals.base_rate = f64::NAN),
+        ("burst_rate", |s| s.arrivals.burst_rate = f64::NAN),
+        ("mean_residence", |s| s.arrivals.mean_residence = f64::NAN),
+        ("budget", |s| s.tenants.budget_max = f64::NAN),
+        ("tolerance", |s| s.auction.tolerance = f64::NAN),
+    ];
+    for (field, poison) in fields {
+        let mut sc = Scenario::example_bursty();
+        poison(&mut sc);
+        let err = sc.validate().expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+    }
+    let mut sc = Scenario::example_bursty();
+    sc.tenants.budget_max = f64::INFINITY;
+    assert!(sc.validate().is_err(), "an infinite budget is refused");
+}
+
 #[test]
 fn a_live_daemon_refuses_oversized_lengths_and_keeps_serving() {
     let handle = Server::start(ServerConfig {
@@ -320,7 +431,14 @@ fn a_live_daemon_refuses_oversized_lengths_and_keeps_serving() {
     let mut lines = vec![
         r#"{"type":"run","benchmark":"gcc","slices":2,"banks":4,"len":100000000000,"seed":1}"#
             .to_string(),
+        HOSTILE_DC.to_string(),
     ];
+    lines.extend(
+        dc_boundaries()
+            .into_iter()
+            .filter(|(_, _, accepted, _)| !accepted)
+            .map(|(path, value, _, _)| dc_line(path, &value)),
+    );
     for line in valid_lines().iter().filter(|l| l.contains("\"len\":")) {
         lines.extend(
             len_boundaries()

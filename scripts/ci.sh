@@ -168,16 +168,21 @@ HOSTILE_REPLY=$(timeout 10 bash -c '
   printf "%s\n" "$reply"')
 grep -q '"code":"bad_request"' <<<"$HOSTILE_REPLY"
 "$SSIM" submit --addr 127.0.0.1:24115 --ping >/dev/null
-# A short run line whose len would allocate 3.2 TB is refused at parse,
-# on a worker and on the coordinator, and both go on serving.
+# A short run line whose len would allocate 3.2 TB, and a 66-byte dc
+# line whose epochs would allocate 104 GB, are refused at parse, on a
+# worker and on the coordinator, and both go on serving.
 for port in 24116 24117; do
-  LEN_REPLY=$(timeout 10 bash -c '
-    exec 3<>/dev/tcp/127.0.0.1/'"$port"'
-    printf "%s\n" "{\"type\":\"run\",\"benchmark\":\"gcc\",\"slices\":2,\"banks\":4,\"len\":100000000000,\"seed\":1}" >&3
-    IFS= read -r reply <&3
-    printf "%s\n" "$reply"')
-  grep -q '"code":"bad_request"' <<<"$LEN_REPLY"
-  "$SSIM" submit --addr "127.0.0.1:$port" --ping >/dev/null
+  for line in \
+    '{"type":"run","benchmark":"gcc","slices":2,"banks":4,"len":100000000000,"seed":1}' \
+    '{"type":"dc","scenario":{"name":"x","epochs":1000000000},"seed":1}'; do
+    CAP_REPLY=$(timeout 10 bash -c '
+      exec 3<>/dev/tcp/127.0.0.1/'"$port"'
+      printf "%s\n" "$1" >&3
+      IFS= read -r reply <&3
+      printf "%s\n" "$reply"' _ "$line")
+    grep -q '"code":"bad_request"' <<<"$CAP_REPLY"
+    "$SSIM" submit --addr "127.0.0.1:$port" --ping >/dev/null
+  done
 done
 "$SSIM" submit --addr 127.0.0.1:24117 --shutdown >/dev/null
 "$SSIM" submit --addr 127.0.0.1:24115 --shutdown >/dev/null
