@@ -28,9 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod cacti;
-pub mod energy;
 pub mod model;
 
 pub use cacti::sram_area_mm2;
-pub use energy::{EnergyModel, EnergyReport};
 pub use model::{AreaModel, SliceComponent};

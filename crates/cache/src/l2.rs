@@ -122,21 +122,6 @@ impl L2Array {
         }
     }
 
-    /// Overrides bank distances with a real placement (from the
-    /// hypervisor's chip map).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distances.len()` differs from the bank count.
-    pub fn set_distances(&mut self, distances: Vec<u32>) {
-        assert_eq!(
-            distances.len(),
-            self.banks.len(),
-            "one distance per bank required"
-        );
-        self.distances = distances;
-    }
-
     /// Number of banks.
     #[must_use]
     pub fn bank_count(&self) -> usize {
@@ -299,20 +284,5 @@ mod tests {
         l2.access(2, false);
         assert_eq!(l2.flush_all(), 2);
         assert!(!l2.access(0, false).hit, "flush empties the banks");
-    }
-
-    #[test]
-    fn set_distances_overrides_latency() {
-        let mut l2 = L2Array::new(2);
-        l2.set_distances(vec![3, 7]);
-        assert_eq!(l2.access_latency(0), 4 + 2 * 3);
-        assert_eq!(l2.access_latency(1), 4 + 2 * 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "one distance per bank")]
-    fn set_distances_length_checked() {
-        let mut l2 = L2Array::new(2);
-        l2.set_distances(vec![1]);
     }
 }

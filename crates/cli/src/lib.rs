@@ -36,7 +36,8 @@ pub enum Command {
     /// every simulated cycle went, conservation-exact per Slice.
     Profile(ProfileArgs),
     /// `ssim trace-pack in.jsonl out.json` — re-wrap a streamed span
-    /// JSONL file (from `serve --trace-out *.jsonl`) as Chrome trace JSON.
+    /// JSONL file (from `serve --trace-out`, whatever its name) as Chrome
+    /// trace JSON.
     TracePack(TracePackArgs),
     /// `ssim list` — list available benchmarks.
     List,
@@ -171,8 +172,9 @@ pub struct ServeArgs {
     /// When set, the result cache is loaded from this file on start and
     /// saved back on graceful shutdown.
     pub cache_file: Option<String>,
-    /// When set, the daemon writes a Chrome trace of every executed job
-    /// here on graceful shutdown.
+    /// When set, the daemon streams every span here as it happens, one
+    /// JSON line per span (pack it with `ssim trace-pack`). A path that
+    /// cannot be created fails start-up.
     pub trace_out: Option<String>,
     /// Remote worker daemon addresses (repeatable `--worker`). When
     /// non-empty the daemon runs as a coordinator: jobs fan out to these
@@ -194,10 +196,10 @@ pub struct ServeArgs {
 /// What `ssim submit` asks the daemon to do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SubmitAction {
-    /// Submit one benchmark run.
+    /// Submit one run.
     Run {
-        /// Benchmark name.
-        benchmark: Benchmark,
+        /// A paper benchmark or an extra seeded profile.
+        workload: sharing_trace::Workload,
         /// Slice count.
         slices: usize,
         /// L2 bank count.
@@ -671,7 +673,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut action: Option<SubmitAction> = None;
             let (mut slices, mut banks, mut len, mut seed) =
                 (1usize, 2usize, 60_000usize, 0xA5_2014u64);
-            let mut benchmark: Option<Benchmark> = None;
+            let mut workload: Option<sharing_trace::Workload> = None;
             let mut dc_path: Option<String> = None;
             let mut mode: Option<BillingMode> = None;
             while let Some(flag) = it.next() {
@@ -681,8 +683,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--trace" => trace = Some(parse_num(flag, take_value(flag, &mut it)?)?),
                     "--benchmark" => {
                         let v = take_value(flag, &mut it)?;
-                        benchmark = Some(
-                            Benchmark::from_name(v)
+                        workload = Some(
+                            sharing_trace::Workload::from_name(v)
                                 .ok_or_else(|| CliError::UnknownBenchmark(v.clone()))?,
                         );
                     }
@@ -706,10 +708,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            let action = match (action, benchmark, dc_path) {
+            let action = match (action, workload, dc_path) {
                 (Some(a), None, None) => a,
-                (None, Some(benchmark), None) => SubmitAction::Run {
-                    benchmark,
+                (None, Some(workload), None) => SubmitAction::Run {
+                    workload,
                     slices,
                     banks,
                     len,
@@ -1047,13 +1049,13 @@ fn load_scenario(path: &str) -> Result<Scenario, CliError> {
 fn submit_job(action: &SubmitAction) -> Result<sharing_server::Job, CliError> {
     match action {
         SubmitAction::Run {
-            benchmark,
+            workload,
             slices,
             banks,
             len,
             seed,
         } => Ok(sharing_server::Job::Run(sharing_server::RunJob {
-            workload: sharing_server::JobWorkload::Benchmark(*benchmark),
+            workload: workload.clone(),
             slices: *slices,
             banks: *banks,
             len: *len,
@@ -2322,7 +2324,7 @@ mod server_tests {
                 assert_eq!(
                     a.action,
                     SubmitAction::Run {
-                        benchmark: Benchmark::Mcf,
+                        workload: sharing_trace::Workload::Benchmark(Benchmark::Mcf),
                         slices: 4,
                         banks: 2,
                         len: 60_000,
@@ -2388,6 +2390,29 @@ mod server_tests {
         assert!(matches!(
             parse(&s(&["submit", "--dc", "sc.json", "--mode", "weird"])),
             Err(CliError::BadValue(..))
+        ));
+    }
+
+    #[test]
+    fn submit_names_the_extra_profiles_like_the_daemon() {
+        for name in ["bursty", "phaseshift"] {
+            match parse(&s(&["submit", "--benchmark", name, "--len", "2000"])).unwrap() {
+                Command::Submit(a) => assert_eq!(
+                    a.action,
+                    SubmitAction::Run {
+                        workload: sharing_trace::Workload::from_name(name).unwrap(),
+                        slices: 1,
+                        banks: 2,
+                        len: 2_000,
+                        seed: 0xA5_2014,
+                    }
+                ),
+                other => panic!("expected submit, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            parse(&s(&["submit", "--benchmark", "nope"])),
+            Err(CliError::UnknownBenchmark(_))
         ));
     }
 
@@ -2554,7 +2579,7 @@ mod server_tests {
             url: None,
             trace: None,
             action: SubmitAction::Run {
-                benchmark: Benchmark::Gcc,
+                workload: sharing_trace::Workload::Benchmark(Benchmark::Gcc),
                 slices: 2,
                 banks: 2,
                 len: 500,
@@ -2601,6 +2626,52 @@ mod server_tests {
             })),
             Err(CliError::Server(_))
         ));
+    }
+
+    #[test]
+    fn submit_of_an_extra_profile_replies_as_a_raw_run_line() {
+        use std::io::{BufRead, BufReader, Write};
+        // cache_capacity 0: both submissions execute, so both replies
+        // carry `"cached":false` and the same bytes.
+        let handle = sharing_server::Server::start(sharing_server::ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_capacity: 4,
+            cache_capacity: 0,
+            ..sharing_server::ServerConfig::default()
+        })
+        .unwrap();
+        let addr = handle.local_addr().to_string();
+        let cmd = parse(&s(&[
+            "submit",
+            "--addr",
+            &addr,
+            "--benchmark",
+            "bursty",
+            "--len",
+            "800",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+        let out = execute(&cmd).unwrap();
+
+        let mut tcp = std::net::TcpStream::connect(&addr).unwrap();
+        tcp.write_all(
+            b"{\"type\":\"run\",\"benchmark\":\"bursty\",\"slices\":1,\"banks\":2,\
+              \"len\":800,\"seed\":3}\n",
+        )
+        .unwrap();
+        let mut raw = String::new();
+        BufReader::new(&tcp).read_line(&mut raw).unwrap();
+        let raw = sharing_json::Json::parse(raw.trim_end()).unwrap();
+        assert_eq!(
+            raw.get("ok").and_then(|x| x.as_bool()),
+            Some(true),
+            "{raw:?}"
+        );
+        assert_eq!(out, sharing_json::to_string_pretty(&raw));
+        handle.stop();
     }
 }
 
@@ -3127,7 +3198,7 @@ mod observability_tests {
             url: None,
             trace: Some(777),
             action: SubmitAction::Run {
-                benchmark: Benchmark::Gcc,
+                workload: sharing_trace::Workload::Benchmark(Benchmark::Gcc),
                 slices: 1,
                 banks: 2,
                 len: 400,

@@ -102,18 +102,6 @@ impl MemorySystem {
         }
     }
 
-    /// Builds a private memory system whose banks sit at the given network
-    /// distances — the hypervisor's actual placement (a
-    /// `sharing_hv::Lease::bank_distances` vector) instead of the default
-    /// compact ring. Far-flung banks cost real cycles (§3.5: "latency
-    /// increases as L2 banks are further away").
-    #[must_use]
-    pub fn private_placed(bank_distances: Vec<u32>, memory_delay: u32) -> Self {
-        let mut mem = MemorySystem::private(bank_distances.len(), memory_delay);
-        mem.l2.set_distances(bank_distances);
-        mem
-    }
-
     /// Builds a shared (multi-VCore VM) memory system with coherence.
     #[must_use]
     pub fn shared(l2_banks: usize, memory_delay: u32) -> Self {

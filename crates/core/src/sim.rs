@@ -1,9 +1,9 @@
 //! Single-threaded simulation driver.
 //!
 //! The one entry point is [`Simulator::run_with`]: every way of running a
-//! trace — plain, traced into an obs buffer, with placed banks, verified
-//! against the ISA interpreter, profiled, or with per-instruction timing
-//! records — is a [`RunOptions`] combination, and every output rides home
+//! trace — plain, traced into an obs buffer, verified against the ISA
+//! interpreter, profiled, or with per-instruction timing records — is a
+//! [`RunOptions`] combination, and every output rides home
 //! in one [`RunOutput`]. The older one-method-per-mode entry points
 //! (`run`, `run_traced`, `run_placed`, `run_verified`, `run_profiled`,
 //! `run_detailed`, `run_phased`) lived out their one deprecated release
@@ -36,8 +36,7 @@ pub(crate) fn observe_run(result: &SimResult) {
 /// What a [`Simulator::run_with`] call should do beyond timing the trace.
 ///
 /// Built fluently; the default is a plain run. Every option is pure
-/// observation or placement — none changes the committed [`SimResult`]
-/// except `bank_distances`, which models genuinely different hardware.
+/// observation — none changes the committed [`SimResult`].
 ///
 /// # Example
 ///
@@ -56,7 +55,6 @@ pub(crate) fn observe_run(result: &SimResult) {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions<'a> {
-    bank_distances: Option<Vec<u32>>,
     trace_to: Option<&'a sharing_obs::TraceBuffer>,
     profile: bool,
     timings: bool,
@@ -68,17 +66,6 @@ impl<'a> RunOptions<'a> {
     #[must_use]
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// Places the L2 banks at explicit network distances — the
-    /// hypervisor's real placement for a lease (e.g.
-    /// `sharing_hv::Lease::bank_distances`) rather than the default
-    /// compact ring. A crowded chip hands out distant banks, and this is
-    /// where that shows up as cycles.
-    #[must_use]
-    pub fn bank_distances(mut self, distances: Vec<u32>) -> Self {
-        self.bank_distances = Some(distances);
-        self
     }
 
     /// Records one *logical-cycle* span for the whole run into `obs`:
@@ -185,24 +172,9 @@ impl Simulator {
     /// Runs a trace to completion under `options`. See
     /// [`RunOptions`] for what can ride along and [`RunOutput`] for what
     /// comes back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`RunOptions::bank_distances`] was given a vector whose
-    /// length differs from the configured bank count.
     #[must_use]
     pub fn run_with(&self, trace: &Trace, options: RunOptions<'_>) -> RunOutput {
-        let mut mem = match options.bank_distances {
-            Some(distances) => {
-                assert_eq!(
-                    distances.len(),
-                    self.cfg.l2_banks(),
-                    "one distance per configured bank"
-                );
-                MemorySystem::private_placed(distances, self.cfg.mem.memory_delay)
-            }
-            None => MemorySystem::private(self.cfg.l2_banks(), self.cfg.mem.memory_delay),
-        };
+        let mut mem = MemorySystem::private(self.cfg.l2_banks(), self.cfg.mem.memory_delay);
         let mut engine = VCoreEngine::new(self.cfg, 0);
         if options.verify {
             engine.enable_verification();

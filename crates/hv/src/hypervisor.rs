@@ -28,16 +28,6 @@ pub struct Lease {
     pub banks: Vec<Tile>,
 }
 
-impl Lease {
-    /// Network distances from the VCore (its first Slice) to each bank, in
-    /// hops — what the L2 latency model consumes.
-    #[must_use]
-    pub fn bank_distances(&self) -> Vec<u32> {
-        let anchor = self.slices[0];
-        self.banks.iter().map(|b| b.distance(&anchor)).collect()
-    }
-}
-
 /// Errors from hypervisor operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HvError {
@@ -385,18 +375,6 @@ mod tests {
             hv.lease(shape(1, 8)),
             Err(HvError::InsufficientBanks { wanted: 8, free: 4 })
         ));
-    }
-
-    #[test]
-    fn bank_distances_reflect_placement() {
-        let mut hv = Hypervisor::new(Chip::new(4, 8));
-        let id = hv.lease(shape(1, 4)).unwrap();
-        let d = hv.get(id).unwrap().bank_distances();
-        assert_eq!(d.len(), 4);
-        for w in d.windows(2) {
-            assert!(w[0] <= w[1], "banks sorted by distance");
-        }
-        assert_eq!(d[0], 1, "nearest bank is adjacent");
     }
 
     #[test]

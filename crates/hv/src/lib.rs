@@ -36,10 +36,8 @@ pub mod billing;
 pub mod chip;
 pub mod cloud;
 pub mod hypervisor;
-pub mod schedule;
 
 pub use billing::{BillingPeriod, Ledger, Tariff};
 pub use chip::{Chip, Tile, TileKind};
 pub use cloud::{Cloud, CloudLease, CloudStats, PlacementPolicy};
 pub use hypervisor::{HvError, HvStats, Hypervisor, Lease, LeaseId};
-pub use schedule::{ScheduleReport, Tenant, TimeSlicer};

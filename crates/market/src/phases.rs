@@ -8,7 +8,7 @@
 //! `performance³/area`.
 
 use sharing_area::AreaModel;
-use sharing_core::{ReconfigCosts, SimConfig, Simulator, VCoreShape};
+use sharing_core::{par, ReconfigCosts, SimConfig, Simulator, VCoreShape};
 use sharing_trace::{gcc_phase_trace, TraceSpec};
 use std::collections::BTreeMap;
 
@@ -43,32 +43,18 @@ fn measure_phases(spec: &TraceSpec, phases: usize, shapes: &[VCoreShape]) -> Pha
     let tasks: Vec<(usize, VCoreShape)> = (1..=phases)
         .flat_map(|p| shapes.iter().map(move |&s| (p, s)))
         .collect();
-    let results = std::sync::Mutex::new(Vec::with_capacity(tasks.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(p, shape)) = tasks.get(i) else {
-                    break;
-                };
-                let trace = gcc_phase_trace(p, spec);
-                let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks)
-                    .expect("candidate shapes are valid");
-                let r = Simulator::new(cfg)
-                    .expect("valid config")
-                    .run_with(&trace, sharing_core::RunOptions::new())
-                    .result;
-                results
-                    .lock()
-                    .expect("phase lock")
-                    .push((p, shape, (r.cycles, r.instructions)));
-            });
-        }
+    let measured = par::map_indexed(par::resolve_jobs(None), &tasks, |_, &(p, shape)| {
+        let trace = gcc_phase_trace(p, spec);
+        let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks)
+            .expect("candidate shapes are valid");
+        let r = Simulator::new(cfg)
+            .expect("valid config")
+            .run_with(&trace, sharing_core::RunOptions::new())
+            .result;
+        (r.cycles, r.instructions)
     });
     let mut out: PhaseCycles = vec![BTreeMap::new(); phases];
-    for (p, shape, v) in results.into_inner().expect("phase lock") {
+    for (&(p, shape), v) in tasks.iter().zip(measured) {
         out[p - 1].insert(shape, v);
     }
     out

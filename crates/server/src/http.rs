@@ -18,13 +18,11 @@
 //! Unknown paths and wrong methods (404/405) and malformed or oversized
 //! requests (400/413) are handled by `sharing-http` itself.
 
-use crate::protocol::{Envelope, ErrorCode, Request as ProtoRequest, ServerError};
-use crate::queue::PushError;
-use crate::server::{metrics_text, Queued, State};
+use crate::protocol::{ErrorCode, Request as ProtoRequest, ServerError};
+use crate::server::{admit, metrics_text, parse_request, State};
 use sharing_http::{HttpConfig, HttpHandle, HttpServer, Request, Response, Router};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Binds the HTTP front door on `addr` and returns its handle.
 pub(crate) fn start(addr: &str, state: &Arc<State>) -> std::io::Result<HttpHandle> {
@@ -87,18 +85,10 @@ fn submit_job(state: &Arc<State>, req: &Request) -> Response {
         let err = ServerError::bad_request("request body is not UTF-8");
         return Response::json(400, err.to_line(None));
     };
-    let env = match Envelope::parse(body.trim()) {
+    let env = match parse_request(state, body.trim()) {
         Ok(env) => env,
-        Err(e) => {
-            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return Response::json(400, e.to_line(None));
-        }
+        Err(refusal) => return Response::json(400, refusal),
     };
-    if !env.proto_supported() {
-        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        let err = ServerError::version_mismatch(env.proto.unwrap_or(0));
-        return Response::json(400, err.to_line(env.id));
-    }
     let job = match env.req {
         ProtoRequest::Job(job) => job,
         other => {
@@ -111,52 +101,34 @@ fn submit_job(state: &Arc<State>, req: &Request) -> Response {
         }
     };
     let kind = job.kind();
-    let (tx, rx) = mpsc::channel();
-    let queued = Queued {
-        id: env.id,
-        job,
-        trace: env.trace,
-        reply: tx,
-        enqueued: Instant::now(),
+    let rx = match admit(state, env.id, job, env.trace) {
+        Ok(rx) => rx,
+        Err(refusal) => return Response::json(503, refusal),
     };
-    match state.queue.try_push(queued) {
-        Ok(_) => {
-            state.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-            let id = state.jobs.create(kind);
-            let jstate = Arc::clone(state);
-            // The collector stands in for the TCP connection thread:
-            // it drains the reply channel into the jobs table and marks
-            // the entry done when the worker drops the sender.
-            let spawned = std::thread::Builder::new()
-                .name("ssimd-http-job".into())
-                .spawn(move || {
-                    for line in rx {
-                        jstate.jobs.append(id, line);
-                    }
-                    jstate.jobs.finish(id);
-                });
-            if spawned.is_err() {
-                let err = ServerError::new(ErrorCode::ShuttingDown, "cannot spawn job collector");
-                return Response::json(503, err.to_line(env.id));
+    let id = state.jobs.create(kind);
+    let jstate = Arc::clone(state);
+    // The collector stands in for the TCP connection thread: it drains
+    // the reply channel into the jobs table and marks the entry done
+    // when the worker drops the sender.
+    let spawned = std::thread::Builder::new()
+        .name("ssimd-http-job".into())
+        .spawn(move || {
+            for line in rx {
+                jstate.jobs.append(id, line);
             }
-            Response::json(
-                202,
-                format!(
-                    "{{\"ok\":true,\"id\":{id},\"kind\":\"{kind}\",\
-                     \"status\":\"pending\",\"poll\":\"/jobs/{id}\"}}"
-                ),
-            )
-        }
-        Err(e) => {
-            state.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            let code = match e {
-                PushError::Full { .. } => ErrorCode::QueueFull,
-                PushError::Closed => ErrorCode::ShuttingDown,
-            };
-            let err = ServerError::new(code, e.to_string());
-            Response::json(503, err.to_line(env.id))
-        }
+            jstate.jobs.finish(id);
+        });
+    if spawned.is_err() {
+        let err = ServerError::new(ErrorCode::ShuttingDown, "cannot spawn job collector");
+        return Response::json(503, err.to_line(env.id));
     }
+    Response::json(
+        202,
+        format!(
+            "{{\"ok\":true,\"id\":{id},\"kind\":\"{kind}\",\
+             \"status\":\"pending\",\"poll\":\"/jobs/{id}\"}}"
+        ),
+    )
 }
 
 fn control_name(req: &ProtoRequest) -> &'static str {

@@ -139,38 +139,15 @@ pub enum Job {
 }
 
 impl Job {
-    /// The canonical cache key for this job: compact JSON with a fixed
-    /// field order, independent of how the request spelled it. Identical
-    /// keys mean identical results (the simulator is deterministic), so
-    /// cached payloads replay byte-identically. Sweeps and markets are
-    /// executed as grids of [`RunJob`]s and cached per point, but their
-    /// keys are still canonical so batch-level caches can layer on top.
+    /// The canonical cache key of a single-reply job (`run` or `dc`; see
+    /// [`RunJob::cache_key`] and [`DcJob::cache_key`]); `None` for grid
+    /// jobs, which are cached per point under each point's run key.
     #[must_use]
-    pub fn cache_key(&self) -> String {
+    pub fn cache_key(&self) -> Option<String> {
         match self {
-            Job::Run(job) => job.cache_key(),
-            Job::Dc(job) => job.cache_key(),
-            Job::Sweep(job) => Json::obj(vec![(
-                "sweep",
-                Json::obj(vec![
-                    ("benchmark", Json::Str(job.benchmark.name().into())),
-                    ("len", Json::Int(job.len as i128)),
-                    ("seed", Json::Int(i128::from(job.seed))),
-                ]),
-            )])
-            .to_string(),
-            Job::Market(job) => Json::obj(vec![(
-                "market",
-                Json::obj(vec![
-                    ("benchmark", Json::Str(job.benchmark.name().into())),
-                    ("utility", Json::Str(job.utility.name().into())),
-                    ("market", Json::Str(job.market.name.into())),
-                    ("budget", Json::Float(job.budget)),
-                    ("len", Json::Int(job.len as i128)),
-                    ("seed", Json::Int(i128::from(job.seed))),
-                ]),
-            )])
-            .to_string(),
+            Job::Run(job) => Some(job.cache_key()),
+            Job::Dc(job) => Some(job.cache_key()),
+            Job::Sweep(_) | Job::Market(_) => None,
         }
     }
 
@@ -856,7 +833,7 @@ mod tests {
             req: Request::Job(Job::Run(job.clone())),
         };
         match Envelope::parse(&traced.to_line()).unwrap().req {
-            Request::Job(j) => assert_eq!(j.cache_key(), job.cache_key()),
+            Request::Job(j) => assert_eq!(j.cache_key(), Some(job.cache_key())),
             other => panic!("expected job, got {other:?}"),
         }
     }
@@ -1020,7 +997,7 @@ mod tests {
         ) {
             (Request::Job(x), Request::Job(y)) => {
                 assert_eq!(x.cache_key(), y.cache_key());
-                assert_eq!(x.cache_key(), job.cache_key());
+                assert_eq!(x.cache_key(), Some(job.cache_key()));
             }
             _ => unreachable!(),
         }
@@ -1048,10 +1025,15 @@ mod tests {
             len: 100,
             seed: 5,
         });
-        let keys = [sweep.cache_key(), market.cache_key(), run.cache_key()];
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
-        assert_ne!(keys[1], keys[2]);
+        let dc = Job::Dc(Box::new(DcJob {
+            scenario: Scenario::example_bursty(),
+            seed: 5,
+            mode: None,
+        }));
+        // Grid jobs are cached per point, so only single-reply jobs key.
+        assert_eq!(sweep.cache_key(), None);
+        assert_eq!(market.cache_key(), None);
+        assert_ne!(run.cache_key().unwrap(), dc.cache_key().unwrap());
     }
 
     #[test]

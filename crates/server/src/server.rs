@@ -487,28 +487,15 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>, local: SocketAddr) {
         if line.is_empty() {
             continue;
         }
-        let env = match Envelope::parse(&line) {
+        let env = match parse_request(state, &line) {
             Ok(env) => env,
-            Err(e) => {
-                state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                if protocol::write_line(&mut writer, &e.to_line(None)).is_err() {
+            Err(refusal) => {
+                if protocol::write_line(&mut writer, &refusal).is_err() {
                     return;
                 }
                 continue;
             }
         };
-        // Version gate: a request from a protocol this server does not
-        // speak gets a structured refusal, never a guess. (`hello` from
-        // a newer client lands here too — the error *is* the
-        // negotiation answer.)
-        if !env.proto_supported() {
-            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            let err = ServerError::version_mismatch(env.proto.unwrap_or(0));
-            if protocol::write_line(&mut writer, &err.to_line(env.id)).is_err() {
-                return;
-            }
-            continue;
-        }
         let job = match env.req {
             Request::Hello { proto } => {
                 let reply = format!(
@@ -572,27 +559,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>, local: SocketAddr) {
             }
             Request::Job(job) => job,
         };
-        let (tx, rx) = mpsc::channel();
-        let queued = Queued {
-            id: env.id,
-            job,
-            trace: env.trace,
-            reply: tx,
-            enqueued: Instant::now(),
-        };
-        // A chaos queue_full_storm answers queue_full for a window
-        // regardless of actual depth; clients must treat it exactly
-        // like organic backpressure.
-        let admitted = if sharing_chaos::hooks().admission_fault() {
-            Err(PushError::Full {
-                capacity: state.queue.capacity(),
-            })
-        } else {
-            state.queue.try_push(queued)
-        };
-        match admitted {
-            Ok(_) => {
-                state.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        match admit(state, env.id, job, env.trace) {
+            Ok(rx) => {
                 // Stream every reply line for this job; the channel closes
                 // when the worker drops the sender.
                 for reply_line in rx {
@@ -603,24 +571,78 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>, local: SocketAddr) {
                     }
                 }
             }
-            Err(e) => {
-                state.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                let code = match e {
-                    PushError::Full { .. } => ErrorCode::QueueFull,
-                    PushError::Closed => ErrorCode::ShuttingDown,
-                };
-                let backpressure = matches!(e, PushError::Full { .. });
-                let reply = ServerError::new(code, e.to_string()).to_line_with(
-                    env.id,
-                    vec![
-                        ("backpressure", Json::Bool(backpressure)),
-                        ("queue_depth", Json::Int(state.queue.depth() as i128)),
-                    ],
-                );
-                if protocol::write_line(&mut writer, &reply).is_err() {
+            Err(refusal) => {
+                if protocol::write_line(&mut writer, &refusal).is_err() {
                     return;
                 }
             }
+        }
+    }
+}
+
+/// Parses one request line and applies the version gate: the first
+/// steps of both front doors (TCP lines and `POST /jobs` bodies). A
+/// refusal comes back as its error reply line and counts in `errors`. A
+/// request from a protocol this server does not speak gets a structured
+/// refusal, never a guess; `hello` from a newer client lands here too,
+/// and the error *is* the negotiation answer.
+pub(crate) fn parse_request(state: &State, line: &str) -> Result<Envelope, String> {
+    let env = Envelope::parse(line).map_err(|e| {
+        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        e.to_line(None)
+    })?;
+    if !env.proto_supported() {
+        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        return Err(ServerError::version_mismatch(env.proto.unwrap_or(0)).to_line(env.id));
+    }
+    Ok(env)
+}
+
+/// Admits one job into the shared queue, for both front doors: returns
+/// the job's reply channel, or the refusal line (`queue_full` with the
+/// backpressure hint and queue depth, or `shutting_down` once draining).
+/// Counts the job as submitted or rejected. A chaos `queue_full_storm`
+/// answers `queue_full` for a window regardless of actual depth; clients
+/// must treat it exactly like organic backpressure.
+pub(crate) fn admit(
+    state: &State,
+    id: Option<u64>,
+    job: Job,
+    trace: Option<u64>,
+) -> Result<mpsc::Receiver<String>, String> {
+    let (reply, rx) = mpsc::channel();
+    let admitted = if sharing_chaos::hooks().admission_fault() {
+        Err(PushError::Full {
+            capacity: state.queue.capacity(),
+        })
+    } else {
+        state.queue.try_push(Queued {
+            id,
+            job,
+            trace,
+            reply,
+            enqueued: Instant::now(),
+        })
+    };
+    match admitted {
+        Ok(_) => {
+            state.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+            Ok(rx)
+        }
+        Err(e) => {
+            state.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
+            let code = match e {
+                PushError::Full { .. } => ErrorCode::QueueFull,
+                PushError::Closed => ErrorCode::ShuttingDown,
+            };
+            let backpressure = matches!(e, PushError::Full { .. });
+            Err(ServerError::new(code, e.to_string()).to_line_with(
+                id,
+                vec![
+                    ("backpressure", Json::Bool(backpressure)),
+                    ("queue_depth", Json::Int(state.queue.depth() as i128)),
+                ],
+            ))
         }
     }
 }
@@ -730,7 +752,9 @@ fn cached_payload(
     job: &Job,
     trace_id: Option<u64>,
 ) -> Result<(String, bool), ServerError> {
-    let key = job.cache_key();
+    let key = job
+        .cache_key()
+        .ok_or_else(|| ServerError::exec_failed("grid jobs run point by point"))?;
     if let Some(hit) = state.cache.get(&key) {
         state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         return Ok((hit, true));
@@ -742,9 +766,7 @@ fn cached_payload(
             .map(|r| sharing_json::to_string(&r))
             .map_err(ServerError::exec_failed)?,
         (None, Job::Dc(dc)) => exec::run_dc(dc).map_err(ServerError::exec_failed)?,
-        (None, Job::Sweep(_) | Job::Market(_)) => {
-            return Err(ServerError::exec_failed("grid jobs run point by point"));
-        }
+        (None, Job::Sweep(_) | Job::Market(_)) => unreachable!("grid jobs have no cache key"),
     };
     state.cache.insert(&key, &payload);
     Ok((payload, false))

@@ -31,7 +31,6 @@
 pub mod benchmarks;
 pub mod cache;
 pub mod generator;
-pub mod io;
 pub mod profile;
 pub mod reuse;
 pub mod rng;

@@ -158,6 +158,8 @@ grep -q '^ssimd_build_info{' "$TRACE_TMP/fed.txt"
 # merged under the one trace id.
 "$SSIM" submit --addr 127.0.0.1:24117 --benchmark gcc --len 2000 --seed 7 \
   --trace 42 >/dev/null
+# `ssim submit` names the extra seeded profiles as the daemon does.
+"$SSIM" submit --addr 127.0.0.1:24117 --benchmark bursty --len 2000 | grep -q '"ok": true'
 # A request line just under the 1 MiB limit, one long string, gets its
 # typed reply well inside the timeout: the JSON parser makes one pass.
 HOSTILE_REPLY=$(timeout 10 bash -c '
@@ -222,6 +224,7 @@ test -f "$PIDFILE"
 # Prometheus text with at least one histogram family, a job end to end
 # over POST /jobs + polling, and the JSON status snapshot.
 "$SSIM" submit --url "$URL" --benchmark gcc --len 2000 | grep -q '"ok": true'
+"$SSIM" submit --url "$URL" --benchmark phaseshift --len 2000 | grep -q '"ok": true'
 "$SSIM" submit --url "$URL" --metrics | grep -q '_bucket{le="+Inf"}'
 "$SSIM" submit --url "$URL" --stats | grep -q '"draining": false'
 # SIGTERM must drain gracefully and remove the pidfile.

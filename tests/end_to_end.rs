@@ -53,22 +53,12 @@ fn simulation_is_deterministic_across_reruns() {
 }
 
 #[test]
-fn trace_io_roundtrips_through_the_facade() {
-    use sharing_arch::trace::io;
-    let t = Benchmark::Bzip.generate(&SPEC);
-    let decoded = io::decode_trace(&io::encode_trace(&t)).unwrap();
-    assert_eq!(t, decoded);
-}
-
-#[test]
 fn hypervisor_leases_shapes_the_simulator_accepts() {
     let mut hv = Hypervisor::new(Chip::new(4, 16));
     let shape = VCoreShape::new(4, 8).unwrap();
     let lease = hv.lease(shape).unwrap();
     let l = hv.get(lease).unwrap();
-    // Bank distances from a real placement feed the L2 latency model.
-    let distances = l.bank_distances();
-    assert_eq!(distances.len(), 8);
+    assert_eq!((l.slices.len(), l.banks.len()), (4, 8));
     let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks).unwrap();
     let r = Simulator::new(cfg)
         .unwrap()
@@ -112,35 +102,6 @@ fn reconfiguration_costs_show_up_in_phased_runs() {
     )
     .unwrap();
     assert_eq!(with_cost.cycles - free.cycles, 2 * 10_000);
-}
-
-#[test]
-fn placement_distance_costs_cycles() {
-    // Same shape, two placements: the hypervisor's nearest-bank lease on an
-    // empty chip vs a synthetic worst case with every bank far away.
-    use sharing_arch::core::Simulator;
-    let trace = Benchmark::Omnetpp.generate(&TraceSpec::new(8_000, 6));
-    let cfg = SimConfig::with_shape(2, 8).unwrap();
-
-    let mut hv = Hypervisor::new(Chip::new(8, 16));
-    let lease = hv.lease(VCoreShape::new(2, 8).unwrap()).unwrap();
-    let near = hv.get(lease).unwrap().bank_distances();
-    assert_eq!(near.len(), 8);
-
-    let sim = Simulator::new(cfg).unwrap();
-    let near_result = sim
-        .run_with(&trace, RunOptions::new().bank_distances(near))
-        .result;
-    let far_result = sim
-        .run_with(&trace, RunOptions::new().bank_distances(vec![12; 8]))
-        .result;
-    assert!(
-        far_result.cycles > near_result.cycles,
-        "distant banks must cost cycles: {} vs {}",
-        far_result.cycles,
-        near_result.cycles
-    );
-    assert_eq!(near_result.instructions, far_result.instructions);
 }
 
 #[test]

@@ -7,7 +7,6 @@
 use sharing_arch::core::{ModelKnobs, RunOptions, SimConfig, Simulator, VCoreShape};
 use sharing_arch::hv::{Chip, Hypervisor};
 use sharing_arch::market::{optimize, Market, PerfSurface, UtilityFn};
-use sharing_arch::trace::io;
 use sharing_arch::trace::{MemRegion, ProgramGenerator, Rng64, TraceSpec, WorkloadProfile};
 
 const CASES: u64 = 24;
@@ -135,23 +134,6 @@ fn ordered_lsq_has_no_violations() {
             .run_with(&trace, RunOptions::new())
             .result;
         assert_eq!(r.mem.lsq_violations, 0, "case {case}");
-    }
-}
-
-/// Trace serialization roundtrips exactly for arbitrary generated
-/// programs.
-#[test]
-fn trace_io_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0x10AD + case);
-        let profile = arb_profile(&mut rng);
-        let seed = rng.below(500);
-        let spec = TraceSpec::new(400, seed);
-        let trace = ProgramGenerator::new(&profile, spec)
-            .unwrap()
-            .generate_single();
-        let decoded = io::decode_trace(&io::encode_trace(&trace)).unwrap();
-        assert_eq!(trace, decoded, "case {case}");
     }
 }
 
