@@ -8,6 +8,7 @@
 //! this directory tracks which VCores' L1s hold each line and emits the
 //! invalidation/forward actions whose network cost the simulator charges.
 
+use crate::hash::LineHashBuilder;
 use std::collections::HashMap;
 
 /// Maximum VCores a single directory can track (bitmask width).
@@ -31,10 +32,22 @@ struct Entry {
 }
 
 impl Entry {
-    fn sharer_list(&self) -> Vec<usize> {
-        (0..MAX_VCORES)
-            .filter(|&i| self.sharers & (1 << i) != 0)
-            .collect()
+    /// Sharer ids in ascending order.
+    fn sharer_ids(&self) -> impl Iterator<Item = usize> {
+        let mut rest = self.sharers;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let id = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                id
+            })
+        })
+    }
+
+    /// The lowest sharer id: the owner of a `Modified` line, which has
+    /// exactly one sharer.
+    fn owner(&self) -> usize {
+        self.sharers.trailing_zeros() as usize
     }
 }
 
@@ -87,9 +100,13 @@ pub struct DirStats {
 /// assert_eq!(act.invalidate, vec![1]);
 /// assert_eq!(dir.state(0x10), DirState::Modified);
 /// ```
+///
+/// Lines are kept in a map hashed by [`LineHashBuilder`]; the map is
+/// only ever probed by key, never iterated, so its order cannot reach a
+/// result.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    lines: HashMap<u64, Entry>,
+    lines: HashMap<u64, Entry, LineHashBuilder>,
     stats: DirStats,
 }
 
@@ -111,7 +128,7 @@ impl Directory {
     pub fn sharers(&self, line: u64) -> Vec<usize> {
         self.lines
             .get(&line)
-            .map_or_else(Vec::new, Entry::sharer_list)
+            .map_or_else(Vec::new, |e| e.sharer_ids().collect())
     }
 
     /// Accumulated statistics.
@@ -156,7 +173,7 @@ impl Directory {
                     return CoherenceAction::default();
                 }
                 // Owner forwards the dirty line; both become sharers.
-                let owner = e.sharer_list()[0];
+                let owner = e.owner();
                 e.state = DirState::Shared;
                 e.sharers |= bit;
                 self.stats.forwards += 1;
@@ -185,15 +202,11 @@ impl Directory {
         match e.state {
             DirState::Invalid => {}
             DirState::Shared => {
-                action.invalidate = e
-                    .sharer_list()
-                    .into_iter()
-                    .filter(|&s| s != vcore)
-                    .collect();
+                action.invalidate = e.sharer_ids().filter(|&s| s != vcore).collect();
             }
             DirState::Modified => {
                 if e.sharers != bit {
-                    let owner = e.sharer_list()[0];
+                    let owner = e.owner();
                     action.fetch_from = Some(owner);
                     action.invalidate.push(owner);
                     self.stats.forwards += 1;
@@ -315,6 +328,148 @@ mod tests {
     fn vcore_width_enforced() {
         let mut d = Directory::new();
         let _ = d.read(0, MAX_VCORES);
+    }
+
+    /// The directory as it was before the line map got its own hasher:
+    /// a SipHash `HashMap`, sharer lists built by scanning all
+    /// `MAX_VCORES` bits, the owner as the list's first entry.
+    /// [`Directory`] must match it step for step.
+    #[derive(Default)]
+    struct ListDirectory {
+        lines: HashMap<u64, Entry>,
+        stats: DirStats,
+    }
+
+    fn sharer_list(e: &Entry) -> Vec<usize> {
+        (0..MAX_VCORES)
+            .filter(|&i| e.sharers & (1 << i) != 0)
+            .collect()
+    }
+
+    impl ListDirectory {
+        fn state(&self, line: u64) -> DirState {
+            self.lines.get(&line).map_or(DirState::Invalid, |e| e.state)
+        }
+
+        fn sharers(&self, line: u64) -> Vec<usize> {
+            self.lines.get(&line).map_or_else(Vec::new, sharer_list)
+        }
+
+        fn read(&mut self, line: u64, vcore: usize) -> CoherenceAction {
+            self.stats.reads += 1;
+            let bit = 1u64 << vcore;
+            let e = self.lines.entry(line).or_insert(Entry {
+                state: DirState::Invalid,
+                sharers: 0,
+            });
+            match e.state {
+                DirState::Invalid => {
+                    e.state = DirState::Shared;
+                    e.sharers = bit;
+                    CoherenceAction::default()
+                }
+                DirState::Shared => {
+                    e.sharers |= bit;
+                    CoherenceAction::default()
+                }
+                DirState::Modified if e.sharers == bit => CoherenceAction::default(),
+                DirState::Modified => {
+                    let owner = sharer_list(e)[0];
+                    e.state = DirState::Shared;
+                    e.sharers |= bit;
+                    self.stats.forwards += 1;
+                    CoherenceAction {
+                        invalidate: Vec::new(),
+                        fetch_from: Some(owner),
+                    }
+                }
+            }
+        }
+
+        fn write(&mut self, line: u64, vcore: usize) -> CoherenceAction {
+            self.stats.writes += 1;
+            let bit = 1u64 << vcore;
+            let e = self.lines.entry(line).or_insert(Entry {
+                state: DirState::Invalid,
+                sharers: 0,
+            });
+            let mut action = CoherenceAction::default();
+            match e.state {
+                DirState::Invalid => {}
+                DirState::Shared => {
+                    action.invalidate =
+                        sharer_list(e).into_iter().filter(|&s| s != vcore).collect();
+                }
+                DirState::Modified => {
+                    if e.sharers != bit {
+                        let owner = sharer_list(e)[0];
+                        action.fetch_from = Some(owner);
+                        action.invalidate.push(owner);
+                        self.stats.forwards += 1;
+                    }
+                }
+            }
+            e.state = DirState::Modified;
+            e.sharers = bit;
+            self.stats.invalidations += action.invalidate.len() as u64;
+            action
+        }
+
+        fn evict(&mut self, line: u64, vcore: usize) {
+            if let Some(e) = self.lines.get_mut(&line) {
+                e.sharers &= !(1u64 << vcore);
+                if e.sharers == 0 {
+                    self.lines.remove(&line);
+                } else if e.state == DirState::Modified {
+                    e.state = DirState::Shared;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn directory_matches_sharer_list_reference() {
+        // Seeded read/write/evict streams from 8 VCores over a few hot
+        // lines (so lines cycle through every state) and a cold tail.
+        for seed in [1u64, 0x5EED, 0xC0FF_EE00] {
+            let mut dir = Directory::new();
+            let mut reference = ListDirectory::default();
+            let mut x = seed;
+            for step in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let vcore = (x >> 8) as usize % 8;
+                let line = if x >> 20 & 3 == 0 {
+                    x >> 32 & 0xFFF
+                } else {
+                    x >> 32 & 0xF
+                };
+                let (got, want) = match x % 8 {
+                    0..=3 => (dir.read(line, vcore), reference.read(line, vcore)),
+                    4..=6 => (dir.write(line, vcore), reference.write(line, vcore)),
+                    _ => {
+                        dir.evict(line, vcore);
+                        reference.evict(line, vcore);
+                        (CoherenceAction::default(), CoherenceAction::default())
+                    }
+                };
+                assert_eq!(got, want, "seed {seed} step {step}: action");
+                assert_eq!(
+                    dir.state(line),
+                    reference.state(line),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    dir.sharers(line),
+                    reference.sharers(line),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(dir.stats(), reference.stats, "seed {seed} step {step}");
+                assert_eq!(dir.tracked_lines(), reference.lines.len());
+            }
+            assert!(reference.stats.forwards > 100 && reference.stats.invalidations > 100);
+        }
     }
 
     #[test]

@@ -166,6 +166,7 @@ impl L2Array {
 
     /// Accesses a line. With zero banks this is an unconditional miss with
     /// zero L2 latency.
+    #[inline]
     pub fn access(&mut self, line: u64, is_write: bool) -> L2Outcome {
         if self.banks.is_empty() {
             return L2Outcome {

@@ -16,7 +16,8 @@
 //! * [`L2Array`] — the per-VCore bank set with interleaving and the paper's
 //!   distance-based latency model;
 //! * [`MshrFile`] — miss-status holding registers for non-blocking caches;
-//! * [`directory`] — the MSI directory protocol between VCores.
+//! * [`directory`] — the MSI directory protocol between VCores;
+//! * [`LineHashBuilder`] — the cheap hasher for `u64`-keyed maps.
 //!
 //! # Example
 //!
@@ -34,12 +35,14 @@
 #![warn(missing_docs)]
 
 pub mod directory;
+pub mod hash;
 pub mod l2;
 pub mod mshr;
 pub mod partition;
 pub mod set_assoc;
 
 pub use directory::{CoherenceAction, DirState, Directory};
+pub use hash::LineHashBuilder;
 pub use l2::{L2Array, L2LatencyModel, L2Outcome};
 pub use mshr::MshrFile;
 pub use partition::WayPartitionedCache;

@@ -61,6 +61,7 @@ impl MshrFile {
 
     /// Requests tracking of a miss to `line` at cycle `now`, whose fill
     /// would complete at `fill_done`. Expired entries are reclaimed first.
+    #[inline]
     pub fn request(&mut self, line: u64, now: u64, fill_done: u64) -> MshrOutcome {
         self.expire(now);
         if let Some(&(_, done)) = self.pending.iter().find(|&&(l, _)| l == line) {
@@ -74,6 +75,7 @@ impl MshrFile {
     }
 
     /// Releases entries whose fills have completed by `now`.
+    #[inline]
     pub fn expire(&mut self, now: u64) {
         self.pending.retain(|&(_, done)| done > now);
     }

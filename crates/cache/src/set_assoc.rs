@@ -210,6 +210,7 @@ impl SetAssocCache {
     }
 
     /// Where `line`'s set sits in `lines`.
+    #[inline]
     fn set_of(&self, line: u64) -> std::ops::Range<usize> {
         let base = (line & self.set_mask) as usize * self.ways;
         base..base + self.ways
@@ -217,11 +218,21 @@ impl SetAssocCache {
 
     /// Accesses `line`; allocates on miss, possibly evicting the LRU way.
     /// `is_write` marks the line dirty.
+    #[inline]
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
         debug_assert_ne!(line, EMPTY.line, "line number reserved for empty ways");
         self.stats.accesses += 1;
         let span = self.set_of(line);
         let set = &mut self.lines[span];
+        // A hit in the most-recently-used way leaves the order as it is.
+        if set[0].line == line {
+            set[0].dirty |= is_write;
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
         if let Some(pos) = set.iter().position(|e| e.line == line) {
             set[pos].dirty |= is_write;
             set[..=pos].rotate_right(1);

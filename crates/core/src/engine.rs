@@ -28,11 +28,11 @@
 //! the same fidelity class as the paper's trace-driven SSim.
 
 use crate::config::{PredictorKind, SimConfig};
-use crate::event::{StoreHashBuilder, WakeHeap};
+use crate::event::WakeHeap;
 use crate::predictor::BranchPredictor;
 use crate::stats::{SimResult, StallBreakdown};
 use sharing_cache::mshr::MshrOutcome;
-use sharing_cache::{CacheGeometry, Directory, L2Array, MshrFile, SetAssocCache};
+use sharing_cache::{CacheGeometry, Directory, L2Array, LineHashBuilder, MshrFile, SetAssocCache};
 use sharing_isa::{ArchReg, DynInst, InstKind, NUM_ARCH_REGS};
 use sharing_noc::{Coord, Mesh, QueuedNetwork, Transport};
 use std::collections::{HashMap, VecDeque};
@@ -295,49 +295,75 @@ impl FuCalendar {
         }
     }
 
-    /// First free cycle at or after `ready` (single-cycle fast path).
-    fn first_free_at(&self, ready: u64) -> u64 {
+    /// The word scan for the first free cycle at or after `ready`:
+    /// `Ok((word, bit))` when it lies inside the window, `Err(cycle)`
+    /// when it lies outside (where every cycle is free).
+    fn scan_free(&self, ready: u64) -> Result<(usize, u32), u64> {
         if ready < self.base {
-            return ready;
+            return Err(ready);
         }
         let off = (ready - self.base) as usize;
         let mut w = off / 64;
         if w >= self.words.len() {
-            return ready;
+            return Err(ready);
         }
         let mut mask = !0u64 << (off % 64);
         while w < self.words.len() {
             let free = !self.words[w] & mask;
             if free != 0 {
-                return self.base + w as u64 * 64 + u64::from(free.trailing_zeros());
+                return Ok((w, free.trailing_zeros()));
             }
             w += 1;
             mask = !0;
         }
-        self.base + self.words.len() as u64 * 64
+        Err(self.base + self.words.len() as u64 * 64)
+    }
+
+    /// First free cycle at or after `ready`.
+    fn first_free_at(&self, ready: u64) -> u64 {
+        match self.scan_free(ready) {
+            Ok((w, bit)) => self.base + w as u64 * 64 + u64::from(bit),
+            Err(c) => c,
+        }
+    }
+
+    /// Claims the first free cycle at or after `ready` (single-cycle
+    /// fast path): sets the bit the scan found.
+    fn claim_first_free(&mut self, ready: u64) -> u64 {
+        match self.scan_free(ready) {
+            Ok((w, bit)) => {
+                self.words[w] |= 1 << bit;
+                self.count += 1;
+                self.base + w as u64 * 64 + u64::from(bit)
+            }
+            Err(c) => {
+                self.insert(c);
+                c
+            }
+        }
     }
 
     /// Claims the first `occupancy` consecutive free cycles at or after
     /// `ready`; returns the start cycle.
     fn issue_at(&mut self, ready: u64, occupancy: u64) -> u64 {
         let c = if occupancy == 1 {
-            let c = self.first_free_at(ready);
-            self.insert(c);
-            c
+            self.claim_first_free(ready)
         } else {
+            // Jump each busy run with the word scan, then check the rest
+            // of the run cycle by cycle; a busy cycle at `c + k` rules
+            // out every start up to it.
             let mut c = ready;
-            'search: loop {
-                for k in 0..occupancy {
-                    if self.contains(c + k) {
-                        c = c + k + 1;
-                        continue 'search;
-                    }
+            loop {
+                c = self.first_free_at(c);
+                match (1..occupancy).find(|&k| self.contains(c + k)) {
+                    Some(k) => c += k + 1,
+                    None => break,
                 }
-                for k in 0..occupancy {
-                    self.insert(c + k);
-                }
-                break c;
             }
+            for k in 0..occupancy {
+                self.insert(c + k);
+            }
+            c
         };
         // Bound memory: drop cycles far behind the issue frontier.
         if self.count > 8192 {
@@ -372,6 +398,88 @@ impl FuCalendar {
         self.words.clear();
         self.base = 0;
         self.count = 0;
+    }
+}
+
+/// Division by the Slice count, for PC and line interleaving: a shift
+/// and a mask when the count is a power of two, a divide otherwise.
+#[derive(Clone, Copy, Debug)]
+struct Interleave {
+    n: u64,
+    /// `log2(n)` when `n` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Interleave {
+    fn new(n: usize) -> Self {
+        let n = n as u64;
+        Interleave {
+            n,
+            shift: n.is_power_of_two().then(|| n.trailing_zeros()),
+        }
+    }
+
+    /// `x % n`.
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.n - 1),
+            None => x % self.n,
+        }
+    }
+
+    /// `x / n`.
+    #[inline]
+    fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(k) => x >> k,
+            None => x / self.n,
+        }
+    }
+}
+
+/// Fixed network latencies of one VCore shape, computed once: they
+/// depend only on the Slice count and the operand-network knobs.
+#[derive(Clone, Debug)]
+struct Latencies {
+    /// Rename pipeline depth per Slice: local rename plus, for
+    /// multi-Slice VCores, the master round trip (§3.2.1).
+    rename: Vec<u64>,
+    /// Pre-commit broadcast latency (§3.7).
+    precommit: u64,
+    /// Ideal-transport latency between two Slices, by Slice distance.
+    by_distance: Vec<u64>,
+}
+
+impl Latencies {
+    fn new(cfg: &SimConfig) -> Self {
+        let n = cfg.slices();
+        let spacing = if cfg.knobs.contiguous_slices { 1 } else { 2 };
+        let lat = cfg.knobs.operand_latency;
+        let by_distance: Vec<u64> = (0..n as u32)
+            .map(|d| u64::from(lat.latency(d * spacing)))
+            .collect();
+        // The master Slice sits in the middle of the VCore. Local rename,
+        // one network leg to/from the master (the send and the broadcast
+        // overlap in the pipelined implementation), and the correction
+        // stage (§3.2.1, Figure 6b).
+        let rename = (0..n)
+            .map(|s| {
+                if n == 1 {
+                    1
+                } else {
+                    2 + by_distance[s.abs_diff(n / 2)]
+                }
+            })
+            .collect();
+        // The distributed ROBs must agree before true commit; the cost is
+        // the farthest-Slice operand latency.
+        let precommit = if n == 1 { 0 } else { by_distance[n - 1] };
+        Latencies {
+            rename,
+            precommit,
+            by_distance,
+        }
     }
 }
 
@@ -420,8 +528,7 @@ struct StoreRec {
     addr_known: u64,
     /// When the store's data is present at the home LSQ bank.
     data_at_home: u64,
-    /// When the store's value lands in the home L1D (post-commit drain);
-    /// `u64::MAX` until commit is processed.
+    /// When the store's value lands in the home L1D (post-commit drain).
     cache_written: u64,
     /// The stored value (dataflow verification).
     value: u64,
@@ -455,12 +562,15 @@ pub struct InstTiming {
 pub struct VCoreEngine {
     cfg: SimConfig,
     vcore_id: usize,
+    /// Interleaving over `cfg.slices()`.
+    interleave: Interleave,
+    latencies: Latencies,
     slices: Vec<SliceState>,
     coords: Vec<Coord>,
     operand_net: QueuedNetwork,
     reg: [RegVersion; NUM_ARCH_REGS],
     freelist: FifoSlots,
-    store_map: HashMap<u64, StoreRec, StoreHashBuilder>,
+    store_map: HashMap<u64, StoreRec, LineHashBuilder>,
     /// Earliest cycle the next fetch group may issue.
     fetch_ready: u64,
     prev_group_time: u64,
@@ -564,6 +674,8 @@ impl VCoreEngine {
             ),
             cfg,
             vcore_id,
+            interleave: Interleave::new(n),
+            latencies: Latencies::new(&cfg),
             slices,
             coords,
             reg: [RegVersion::default(); NUM_ARCH_REGS],
@@ -653,20 +765,20 @@ impl VCoreEngine {
     /// §3.1).
     #[must_use]
     pub fn slice_of_pc(&self, pc: u64) -> usize {
-        ((pc >> 3) % self.cfg.slices() as u64) as usize
+        self.interleave.rem(pc >> 3) as usize
     }
 
     /// Which Slice's LSQ bank / L1D homes `line` (address interleaving,
     /// §3.5/§3.6).
     #[must_use]
     pub fn home_of_line(&self, line: u64) -> usize {
-        (line % self.cfg.slices() as u64) as usize
+        self.interleave.rem(line) as usize
     }
 
     /// The home Slice's bank-local line number (interleave bits stripped so
     /// the L1D's sets are fully used).
     fn local_line(&self, line: u64) -> u64 {
-        line / self.cfg.slices() as u64
+        self.interleave.div(line)
     }
 
     /// Invalidates a line in this VCore's (home Slice's) L1D — coherence
@@ -686,54 +798,20 @@ impl VCoreEngine {
             .send(self.coords[from], self.coords[to], at)
     }
 
-    /// Rename pipeline depth for an instruction on `slice`: local rename
-    /// plus, for multi-Slice VCores, the master round trip (§3.2.1). The
-    /// master Slice sits in the middle of the VCore.
+    /// Rename pipeline depth for an instruction on `slice` (§3.2.1).
     fn rename_latency(&self, slice: usize) -> u64 {
-        let n = self.cfg.slices();
-        if n == 1 {
-            return 1;
-        }
-        let master = n / 2;
-        let hops = (slice as i64 - master as i64).unsigned_abs() as u32
-            * if self.cfg.knobs.contiguous_slices {
-                1
-            } else {
-                2
-            };
-        let lat = self.cfg.knobs.operand_latency;
-        // Local rename, one network leg to/from the master (the send and
-        // the broadcast overlap in the pipelined implementation), and the
-        // correction stage (§3.2.1, Figure 6b).
-        1 + u64::from(lat.latency(hops)) + 1
+        self.latencies.rename[slice]
     }
 
-    /// Pre-commit broadcast latency (§3.7): the distributed ROBs must agree
-    /// before true commit; cost is the farthest-Slice operand latency.
+    /// Pre-commit broadcast latency (§3.7).
     fn precommit_latency(&self) -> u64 {
-        let n = self.cfg.slices();
-        if n == 1 {
-            return 0;
-        }
-        let hops = (n as u32 - 1)
-            * if self.cfg.knobs.contiguous_slices {
-                1
-            } else {
-                2
-            };
-        u64::from(self.cfg.knobs.operand_latency.latency(hops))
+        self.latencies.precommit
     }
 
     /// Simple network latency formula for the LS-sort and data-return
     /// trips (ideal transport; messages counted).
     fn ls_latency(&self, from: usize, to: usize) -> u64 {
-        let hops = (from as i64 - to as i64).unsigned_abs() as u32
-            * if self.cfg.knobs.contiguous_slices {
-                1
-            } else {
-                2
-            };
-        u64::from(self.cfg.knobs.operand_latency.latency(hops))
+        self.latencies.by_distance[from.abs_diff(to)]
     }
 
     /// Runs a batch of committed-path instructions against the given
@@ -787,9 +865,8 @@ impl VCoreEngine {
                 seen += 1;
             }
             let s = self.slice_of_pc(inst.pc);
-            let n = self.cfg.slices() as u64;
             // This Slice sees every n-th pair; strip the interleave bits.
-            let local_pair = pair / n;
+            let local_pair = self.interleave.div(pair);
             let slice = &mut self.slices[s];
             let out = slice.l1i.access(local_pair, false);
             if !out.hit {
@@ -923,6 +1000,7 @@ impl VCoreEngine {
         // Beyond-L2 memory cycles on this instruction's own miss path
         // (loads only) — the profiler's DRAM bucket.
         let mut mem_stall = 0u64;
+        let mut store = None;
         let (issue, exec_done) = match inst.kind {
             InstKind::Load { addr, .. } => {
                 let (issue, exec_done, forwarded, load_mem_stall) =
@@ -953,16 +1031,17 @@ impl VCoreEngine {
                 }
                 self.slices[home].store_barrier = self.slices[home].store_barrier.max(addr_known);
                 let store_value = sharing_isa::interp::mix(inst.pc, sv0, sv1);
-                self.store_map.insert(
+                // Recorded for younger loads once commit sets its drain.
+                store = Some((
                     addr,
                     StoreRec {
                         seq,
                         addr_known,
                         data_at_home: lsq_at,
-                        cache_written: u64::MAX,
+                        cache_written: 0,
                         value: store_value,
                     },
-                );
+                ));
                 if let Some(v) = &mut self.verify {
                     v.mem_values.insert(addr, store_value);
                 }
@@ -1069,7 +1148,7 @@ impl VCoreEngine {
         }
 
         // Store commit: drain through the home store buffer into the L1D.
-        if let InstKind::Store { addr, .. } = inst.kind {
+        if let Some((addr, rec)) = store {
             let line = addr >> 6;
             let home = self.home_of_line(line);
             let sb_at = self.slices[home].store_buffer.available_at(commit);
@@ -1091,11 +1170,13 @@ impl VCoreEngine {
             let done = sb_at + lat;
             self.slices[home].store_buffer.occupy(done);
             self.slices[home].lsq_bank.occupy(done);
-            if let Some(rec) = self.store_map.get_mut(&addr) {
-                if rec.seq == seq {
-                    rec.cache_written = done;
-                }
-            }
+            self.store_map.insert(
+                addr,
+                StoreRec {
+                    cache_written: done,
+                    ..rec
+                },
+            );
         }
 
         // Update register version map.
@@ -1138,7 +1219,7 @@ impl VCoreEngine {
         if self.store_map.len() > 8192 {
             let horizon = self.prev_commit;
             self.store_map
-                .retain(|_, r| r.cache_written == u64::MAX || r.cache_written + 1024 > horizon);
+                .retain(|_, r| r.cache_written + 1024 > horizon);
         }
     }
 
@@ -1410,6 +1491,36 @@ pub(crate) mod tests {
         assert_eq!(s.available_at(0), 60);
     }
 
+    /// The exact set-of-busy-cycles calendar [`FuCalendar`] replaced,
+    /// prune rule included (the model `fu_calendar_matches_btreeset_reference`
+    /// keeps inline): the reference it must match claim for claim.
+    struct BusySet {
+        busy: std::collections::BTreeSet<u64>,
+    }
+
+    impl BusySet {
+        fn issue_at(&mut self, ready: u64, occupancy: u64) -> u64 {
+            let mut c = ready;
+            'search: loop {
+                for k in 0..occupancy {
+                    if self.busy.contains(&(c + k)) {
+                        c = c + k + 1;
+                        continue 'search;
+                    }
+                }
+                for k in 0..occupancy {
+                    self.busy.insert(c + k);
+                }
+                break;
+            }
+            if self.busy.len() > 8192 {
+                let cutoff = c.saturating_sub(4096);
+                self.busy = self.busy.split_off(&cutoff);
+            }
+            c
+        }
+    }
+
     #[test]
     fn fu_calendar_matches_btreeset_reference() {
         // The bitmap calendar must be observably identical to the exact
@@ -1461,6 +1572,38 @@ pub(crate) mod tests {
             assert_eq!(fu.count, reference.busy.len(), "claim {i} count diverged");
         }
         assert!(frontier > 100_000, "stream should outrun the prune window");
+    }
+
+    #[test]
+    fn fu_calendar_matches_reference_on_a_dram_fill_stream() {
+        // The DRAM channel's pattern: occupancy-4 fills requested far
+        // behind the booked frontier, so each search crosses a long busy
+        // run, with single-cycle claims leaving holes a fill cannot use.
+        let mut fu = FuCalendar::default();
+        let mut reference = BusySet {
+            busy: std::collections::BTreeSet::new(),
+        };
+        let mut x = 0xD1A7_u64;
+        let mut now = 0u64;
+        let (mut longest, mut total) = (0u64, 0u64);
+        for i in 0..10_000u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            now += 2 + (x >> 62) + (x >> 60 & 1); // advance 2..=6 cycles
+            let ready = now.saturating_sub(x >> 55 & 0x1FF); // up to 511 back
+            let occupancy = if x >> 40 & 0x7 == 0 { 1 } else { 4 };
+            let c = fu.issue_at(ready, occupancy);
+            assert_eq!(
+                c,
+                reference.issue_at(ready, occupancy),
+                "claim {i} diverged"
+            );
+            assert_eq!(fu.count, reference.busy.len(), "claim {i} count diverged");
+            longest = longest.max(c - ready);
+            total += c - ready;
+        }
+        // A `vm` (2,8) job's fills average about 50 cycles of search.
+        assert!(total / 10_000 > 50, "searches should cross long busy runs");
+        assert!(longest > 256, "some searches should span several words");
     }
 
     #[test]
@@ -1537,6 +1680,17 @@ pub(crate) mod tests {
             assert_eq!(e.home_of_line(line), (line % 4) as usize);
         }
         assert_eq!(e.local_line(12), 3);
+    }
+
+    #[test]
+    fn interleave_matches_division_for_every_slice_count() {
+        for n in 1..=crate::config::MAX_SLICES {
+            let il = Interleave::new(n);
+            for x in (0..4_096u64).chain([u64::MAX - 9, u64::MAX]) {
+                assert_eq!(il.rem(x), x % n as u64, "{x} % {n}");
+                assert_eq!(il.div(x), x / n as u64, "{x} / {n}");
+            }
+        }
     }
 
     #[test]

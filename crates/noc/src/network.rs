@@ -195,6 +195,7 @@ struct BitmapCalendar {
 
 impl BitmapCalendar {
     /// Claims the first free cycle at or after `t`.
+    #[inline]
     fn claim(&mut self, t: u64) -> u64 {
         if self.words.is_empty() {
             self.base = t & !63;
@@ -314,14 +315,43 @@ impl QueuedNetwork {
     fn claim(&mut self, plane: usize, link: Link, t: u64) -> u64 {
         self.links[plane][link_slot(self.mesh, link)].claim(t)
     }
+}
 
-    /// Whether `link` is free at cycle `t` in `plane` (plane selection).
-    fn link_free_at(&self, plane: usize, link: Link, t: u64) -> bool {
-        self.links[plane][link_slot(self.mesh, link)].free_at(t)
+/// One dimension of an XY route as flat link slots: `links` hops, each
+/// leaving its tile in direction `dir` (a [`link_slot`] direction) and
+/// moving the flat tile index by `step`. [`link_slot`] numbers each
+/// axis's increasing direction `forward` and its reverse `forward + 1`.
+#[derive(Clone, Copy)]
+struct Leg {
+    links: u16,
+    dir: usize,
+    step: isize,
+}
+
+impl Leg {
+    #[inline]
+    fn new(from: u16, to: u16, forward: usize, stride: isize) -> Leg {
+        if to >= from {
+            Leg {
+                links: to - from,
+                dir: forward,
+                step: stride,
+            }
+        } else {
+            Leg {
+                links: from - to,
+                dir: forward + 1,
+                step: -stride,
+            }
+        }
     }
 }
 
 impl Transport for QueuedNetwork {
+    /// Walks the dimension-ordered route by flat tile index: the same
+    /// links, in the same order, as [`Mesh::route_steps`] with
+    /// [`link_slot`], without a coordinate round trip per link.
+    #[inline]
     fn send(&mut self, src: Coord, dst: Coord, now: u64) -> u64 {
         let hops = self.mesh.hops(src, dst);
         self.stats.messages += 1;
@@ -329,22 +359,35 @@ impl Transport for QueuedNetwork {
         if hops == 0 {
             return now + u64::from(self.latency.local);
         }
-        let mesh = self.mesh;
-        let mut steps = mesh.route_steps(src, dst);
-        let first = steps.next().expect("hops > 0 implies a first link");
+        assert!(self.mesh.contains(dst), "route endpoints must be on mesh");
+        let mut tile = self.mesh.index_of(src);
+        let width = self.mesh.width() as isize;
+        let x = Leg::new(src.x, dst.x, 0, 1);
+        let y = Leg::new(src.y, dst.y, 2, width);
         // Pick a plane whose first link is free at the insertion cycle.
-        let plane = (0..self.planes)
-            .find(|&p| self.link_free_at(p, first, now + 1))
-            .unwrap_or(0);
+        let plane = if self.planes == 1 {
+            0
+        } else {
+            let first = tile * 4 + if x.links > 0 { x.dir } else { y.dir };
+            (0..self.planes)
+                .find(|&p| self.links[p][first].free_at(now + 1))
+                .unwrap_or(0)
+        };
         // Insertion into the network interface costs one cycle; each link
         // then adds a cycle, stalling behind traffic that holds the link
         // in the same cycle.
+        let links = &mut self.links[plane];
         let mut t = now + 1;
-        for link in std::iter::once(first).chain(steps) {
-            let depart = self.claim(plane, link, t);
-            self.stats.contention_cycles += depart - t;
-            t = depart + 1;
+        let mut contention = 0;
+        for leg in [x, y] {
+            for _ in 0..leg.links {
+                let depart = links[tile * 4 + leg.dir].claim(t);
+                contention += depart - t;
+                t = depart + 1;
+                tile = tile.wrapping_add_signed(leg.step);
+            }
         }
+        self.stats.contention_cycles += contention;
         // The uncontended queued cost is 1 (insertion) + hops; align the
         // floor with the analytic model so both modes agree when idle.
         let floor = now + u64::from(self.latency.latency(hops));

@@ -8,11 +8,18 @@
 //! copy per key, across threads.
 //!
 //! Concurrency contract: when N threads request the same missing key at
-//! once, exactly one runs the generator; the rest block on the same slot
-//! and receive clones of the same `Arc`. Hits and misses are counted both
-//! on the cache instance (for tests) and in the global `sharing-obs`
-//! registry as `trace_cache_hits_total` / `trace_cache_misses_total` /
-//! `trace_cache_generations_total` (for ssimd's metrics endpoint).
+//! once, exactly one runs the generator (unless the trace is too large to
+//! memoize at all, see [`MAX_CACHED_INSTRUCTIONS`]); the rest block on the
+//! same slot and receive clones of the same `Arc`. Hits and misses are
+//! counted both on the cache instance (for tests) and in the global
+//! `sharing-obs` registry as `trace_cache_hits_total` /
+//! `trace_cache_misses_total` / `trace_cache_generations_total` (for
+//! ssimd's metrics endpoint).
+//!
+//! The cache is bounded twice, both in insertion order: by entries
+//! ([`DEFAULT_CAPACITY`]) and by instructions held
+//! ([`MAX_CACHED_INSTRUCTIONS`]), so a run of long traces cannot pin
+//! gigabytes the way 64 traces at [`MAX_TRACE_LEN`] would.
 //!
 //! # Example
 //!
@@ -29,7 +36,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
-use crate::trace::{ThreadedTrace, Trace, TraceSpec};
+use crate::trace::{ThreadedTrace, Trace, TraceSpec, MAX_TRACE_LEN};
 use crate::workload::Workload;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -41,6 +48,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// megabytes while still covering a full suite sweep (15 benchmarks)
 /// with room for mixed lengths and seeds.
 pub const DEFAULT_CAPACITY: usize = 64;
+
+/// Most instructions the cache holds at once, summed over its traces
+/// (a threaded trace counts every thread). At 32 bytes per instruction
+/// that is 256 MiB: eight traces at [`MAX_TRACE_LEN`], or a full suite
+/// sweep at 60 000 instructions many times over. Older entries are
+/// evicted until a new one fits; a trace larger than the whole cap is
+/// returned to its caller but not memoized.
+pub const MAX_CACHED_INSTRUCTIONS: usize = 8 * MAX_TRACE_LEN;
 
 /// What a workload generated: sweeps mix single-threaded SPEC-style
 /// traces and threaded PARSEC-style traces, and keys encode which kind
@@ -75,15 +90,25 @@ impl Hash for Key {
     }
 }
 
+/// A memoized trace and the instructions it holds.
+struct Slot {
+    trace: Arc<OnceLock<Generated>>,
+    insts: usize,
+}
+
 struct Inner {
-    slots: HashMap<Key, Arc<OnceLock<Generated>>>,
+    slots: HashMap<Key, Slot>,
     /// Insertion order, for bounded-capacity eviction.
     order: VecDeque<Key>,
+    /// Instructions held, summed over `slots`.
+    insts: usize,
 }
 
 /// A bounded, thread-safe memo table for generated traces.
 pub struct TraceCache {
     capacity: usize,
+    /// [`MAX_CACHED_INSTRUCTIONS`] outside tests.
+    max_insts: usize,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -131,12 +156,18 @@ impl TraceCache {
     /// Panics if `capacity == 0`.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        TraceCache::with_limits(capacity, MAX_CACHED_INSTRUCTIONS)
+    }
+
+    fn with_limits(capacity: usize, max_insts: usize) -> Self {
         assert!(capacity > 0, "trace cache capacity must be positive");
         TraceCache {
             capacity,
+            max_insts,
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
                 order: VecDeque::new(),
+                insts: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -179,20 +210,36 @@ impl TraceCache {
             if let Some(slot) = inner.slots.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 observe(true);
-                Arc::clone(slot)
+                Arc::clone(&slot.trace)
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 observe(false);
-                while inner.slots.len() >= self.capacity {
-                    let Some(old) = inner.order.pop_front() else {
-                        break;
+                let threads = match (threaded, workload) {
+                    (false, _) => 1,
+                    (true, Workload::Benchmark(b)) => b.profile().threads,
+                    (true, Workload::Profile(p)) => p.threads,
+                };
+                let insts = spec.len.saturating_mul(threads);
+                let trace = Arc::new(OnceLock::new());
+                if insts <= self.max_insts {
+                    while inner.slots.len() >= self.capacity || inner.insts + insts > self.max_insts
+                    {
+                        let Some(old) = inner.order.pop_front() else {
+                            break;
+                        };
+                        if let Some(gone) = inner.slots.remove(&old) {
+                            inner.insts -= gone.insts;
+                        }
+                    }
+                    let slot = Slot {
+                        trace: Arc::clone(&trace),
+                        insts,
                     };
-                    inner.slots.remove(&old);
+                    inner.slots.insert(key.clone(), slot);
+                    inner.order.push_back(key);
+                    inner.insts += insts;
                 }
-                let slot = Arc::new(OnceLock::new());
-                inner.slots.insert(key.clone(), Arc::clone(&slot));
-                inner.order.push_back(key);
-                slot
+                trace
             }
         };
         Ok(slot
@@ -271,6 +318,12 @@ impl TraceCache {
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner.lock().expect("trace cache lock").slots.len()
+    }
+
+    /// Instructions held, summed over the memoized traces.
+    #[cfg(test)]
+    fn instructions(&self) -> usize {
+        self.inner.lock().expect("trace cache lock").insts
     }
 
     /// Whether the cache holds no traces.
@@ -375,6 +428,49 @@ mod tests {
             "evicted entry must be regenerated"
         );
         assert_eq!(cache.generations(), 4);
+    }
+
+    #[test]
+    fn instruction_cap_evicts_oldest_and_counts() {
+        // Room for four 500-instruction traces, or one 4-thread trace of
+        // 500 per thread and nothing else.
+        let cache = TraceCache::with_limits(DEFAULT_CAPACITY, 2_000);
+        let spec = TraceSpec::new(500, 1);
+        let gcc = single(&cache, Benchmark::Gcc, &spec);
+        for b in [Benchmark::Mcf, Benchmark::Astar, Benchmark::Sjeng] {
+            let _ = single(&cache, b, &spec);
+        }
+        assert_eq!((cache.len(), cache.instructions()), (4, 2_000));
+        let _ = single(&cache, Benchmark::Bzip, &spec); // evicts gcc
+        assert_eq!((cache.len(), cache.instructions()), (4, 2_000));
+        let sjeng = single(&cache, Benchmark::Sjeng, &spec);
+        assert!(Arc::ptr_eq(
+            &sjeng,
+            &single(&cache, Benchmark::Sjeng, &spec)
+        ));
+        assert!(!Arc::ptr_eq(&gcc, &single(&cache, Benchmark::Gcc, &spec)));
+        assert_eq!((cache.len(), cache.instructions()), (4, 2_000));
+        assert_eq!((cache.hits(), cache.misses()), (2, 6));
+        assert_eq!(cache.generations(), 6);
+
+        // A 4-thread trace fills the cap on its own.
+        let dedup = Workload::Benchmark(Benchmark::Dedup);
+        let t = cache.threaded(&dedup, &spec).unwrap();
+        assert_eq!(t.total_len(), 2_000);
+        assert_eq!((cache.len(), cache.instructions()), (1, 2_000));
+        assert!(Arc::ptr_eq(&t, &cache.threaded(&dedup, &spec).unwrap()));
+        assert_eq!((cache.hits(), cache.misses()), (3, 7));
+
+        // A trace over the whole cap is served but not memoized, and
+        // leaves what the cache holds alone.
+        let long = TraceSpec::new(2_001, 1);
+        let a = single(&cache, Benchmark::Gcc, &long);
+        let b = single(&cache, Benchmark::Gcc, &long);
+        assert_eq!(a.insts(), b.insts());
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.len(), cache.instructions()), (1, 2_000));
+        assert_eq!((cache.hits(), cache.misses()), (3, 9));
+        assert_eq!(cache.generations(), 9);
     }
 
     #[test]

@@ -114,6 +114,9 @@ struct RegionLayout {
     cum_weight: f64,
 }
 
+/// A static program: its loops and its memory regions' layout.
+type Program = (Vec<Loop>, Vec<RegionLayout>);
+
 const SHARED_REGION_BASE: u64 = 0x7000_0000_0000;
 const SHARED_REGION_BYTES: u64 = (1 << 20) / sharing_isa::CAPACITY_SCALE;
 /// Per-thread offset keeps private working sets disjoint between threads.
@@ -175,8 +178,9 @@ impl ProgramGenerator {
     /// Generates the full (possibly multi-threaded) workload.
     #[must_use]
     pub fn generate(&self) -> ThreadedTrace {
+        let program = self.build_program();
         let threads: Vec<Trace> = (0..self.profile.threads)
-            .map(|tid| self.generate_thread(tid))
+            .map(|tid| self.generate_thread(&program, tid))
             .collect();
         ThreadedTrace::new(self.profile.name.clone(), threads)
     }
@@ -184,22 +188,19 @@ impl ProgramGenerator {
     /// Generates thread 0 only (convenience for single-threaded workloads).
     #[must_use]
     pub fn generate_single(&self) -> Trace {
-        self.generate_thread(0)
+        self.generate_thread(&self.build_program(), 0)
     }
 
-    fn generate_thread(&self, tid: usize) -> Trace {
+    fn generate_thread(&self, (loops, regions): &Program, tid: usize) -> Trace {
         let p = &self.profile;
-        // The static program is identical across threads (same binary); only
-        // the dynamic randomness (hard-branch outcomes, random addresses)
-        // and the private address offset differ.
-        let mut prog_rng = Rng64::seed_from_u64(self.spec.seed ^ 0xA5A5_0000);
-        let (loops, regions) = self.build_program(&mut prog_rng);
+        // Only the dynamic randomness (hard-branch outcomes, random
+        // addresses) and the private address offset differ per thread.
         let mut dyn_rng =
             Rng64::seed_from_u64(self.spec.seed.wrapping_add(0x1357 * (tid as u64 + 1)));
         let mut walker = Walker {
             profile: p,
-            loops: &loops,
-            regions: &regions,
+            loops,
+            regions,
             rng: &mut dyn_rng,
             tid: tid as u64,
             stream_cursors: Vec::new(),
@@ -210,8 +211,10 @@ impl ProgramGenerator {
         Trace::from_insts(p.name.clone(), walker.out)
     }
 
-    /// Builds the static program: loops, slots, and the region layout.
-    fn build_program(&self, rng: &mut Rng64) -> (Vec<Loop>, Vec<RegionLayout>) {
+    /// Builds the static program: loops, slots, and the region layout,
+    /// identical across threads (same binary).
+    fn build_program(&self) -> Program {
+        let rng = &mut Rng64::seed_from_u64(self.spec.seed ^ 0xA5A5_0000);
         let p = &self.profile;
         let regions = layout_regions(p);
         let mut loops = Vec::with_capacity(p.n_loops);
@@ -414,16 +417,14 @@ impl Walker<'_> {
                     extra_src,
                 } => {
                     let dst = ArchReg::new(*chain);
-                    let mut srcs = vec![dst];
-                    if let Some(e) = extra_src {
-                        srcs.push(ArchReg::new(*e));
-                    }
+                    let pair = [dst, ArchReg::new(extra_src.unwrap_or(*chain))];
+                    let srcs = &pair[..1 + usize::from(extra_src.is_some())];
                     let inst = match op {
-                        AluOp::Alu => DynInst::alu(pc, dst, &srcs),
-                        AluOp::Mul => DynInst::mul(pc, dst, &srcs),
+                        AluOp::Alu => DynInst::alu(pc, dst, srcs),
+                        AluOp::Mul => DynInst::mul(pc, dst, srcs),
                         AluOp::Div => DynInst {
                             kind: InstKind::IntDiv,
-                            ..DynInst::mul(pc, dst, &srcs)
+                            ..DynInst::mul(pc, dst, srcs)
                         },
                     };
                     self.out.push(inst);

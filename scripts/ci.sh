@@ -97,6 +97,21 @@ awk -v cps="$CPS" 'BEGIN {
   printf "perf guard ok: median %.2fM cycles/sec (floor 2.5M)\n", cps / 1e6
 }'
 
+echo "== perfbench checks: every workload's outputs verify =="
+# A one-second window per workload is enough to run perfbench's own
+# checks, which it makes after the window: `sweep` rows rerun under
+# dataflow verification, `vm` jobs rerun on two workers, `ssimd`
+# answers against local runs, `dc` reruns, each byte for byte.
+PERFBENCH="perfbench/target/release/perfbench"
+for workload in sweep vm ssimd dc; do
+  PB_OUT="$("$PERFBENCH" --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)"
+  if ! grep -q '"correct":true' <<<"$PB_OUT" || ! grep -q '"failed":0' <<<"$PB_OUT"; then
+    echo "perfbench $workload checks FAILED: $PB_OUT"
+    exit 1
+  fi
+  echo "perfbench $workload: correct, 0 failed"
+done
+
 echo "== serve --trace-out: an uncreatable trace file fails startup =="
 # Exit non-zero at once; 124 would mean timeout had to stop a daemon
 # that came up without its trace.
