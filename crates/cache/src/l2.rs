@@ -1,5 +1,6 @@
 //! The configurable, banked L2: a VCore's slice of the sea of cache banks.
 
+use crate::interleave::Interleave;
 use crate::set_assoc::{CacheGeometry, CacheStats, SetAssocCache};
 
 /// Nominal size of one L2 cache bank (the paper assumes 64 KB banks, §3.5).
@@ -99,6 +100,8 @@ pub struct L2Outcome {
 #[derive(Clone, Debug)]
 pub struct L2Array {
     banks: Vec<SetAssocCache>,
+    /// Line interleaving over `banks.len()`.
+    interleave: Interleave,
     distances: Vec<u32>,
     latency: L2LatencyModel,
 }
@@ -117,6 +120,7 @@ impl L2Array {
             .expect("bank geometry is statically valid");
         L2Array {
             banks: (0..n_banks).map(|_| SetAssocCache::new(geom)).collect(),
+            interleave: Interleave::new(n_banks),
             distances: (0..n_banks).map(|i| latency.default_distance(i)).collect(),
             latency,
         }
@@ -149,7 +153,7 @@ impl L2Array {
     #[must_use]
     pub fn bank_of(&self, line: u64) -> usize {
         assert!(!self.banks.is_empty(), "no banks configured");
-        (line % self.banks.len() as u64) as usize
+        self.interleave.unit_of(line) as usize
     }
 
     /// Hit latency to the bank that would serve `line` (also paid by
@@ -179,7 +183,7 @@ impl L2Array {
         let b = self.bank_of(line);
         let latency = self.latency.hit_latency(self.distances[b]);
         // Strip the interleave bits so the bank's sets are fully used.
-        let local = line / self.banks.len() as u64;
+        let local = self.interleave.local(line);
         let out = self.banks[b].access(local, is_write);
         L2Outcome {
             hit: out.hit,
@@ -195,7 +199,7 @@ impl L2Array {
             return false;
         }
         let b = self.bank_of(line);
-        let local = line / self.banks.len() as u64;
+        let local = self.interleave.local(line);
         self.banks[b].invalidate(local)
     }
 
@@ -246,6 +250,35 @@ mod tests {
         let l2 = L2Array::new(4);
         for line in 0..16u64 {
             assert_eq!(l2.bank_of(line), (line % 4) as usize);
+        }
+    }
+
+    #[test]
+    fn every_bank_count_interleaves_as_division() {
+        let geom = CacheGeometry::new(BANK_EFFECTIVE_BYTES, LINE_BYTES, BANK_WAYS).unwrap();
+        // 384 distinct lines, small and large, each met about five times.
+        let lines: Vec<u64> = (0..2_048u64)
+            .map(|i| i % 384)
+            .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (x % 61))
+            // `u64::MAX` itself marks an empty way.
+            .chain([u64::MAX - 9, u64::MAX - 1])
+            .collect();
+        for n in 1..=128usize {
+            let mut l2 = L2Array::new(n);
+            let mut banks: Vec<SetAssocCache> = (0..n).map(|_| SetAssocCache::new(geom)).collect();
+            for (i, &line) in lines.iter().enumerate() {
+                let is_write = i % 3 == 0;
+                let b = (line % n as u64) as usize;
+                assert_eq!(l2.bank_of(line), b, "{line} over {n} banks");
+                let out = l2.access(line, is_write);
+                let want = banks[b].access(line / n as u64, is_write);
+                assert_eq!(out.bank, b, "{line} over {n} banks");
+                assert_eq!(out.hit, want.hit, "{line} over {n} banks");
+                assert_eq!(out.writeback, want.writeback, "{line} over {n} banks");
+                if i % 7 == 0 {
+                    assert_eq!(l2.invalidate(line), banks[b].invalidate(line / n as u64));
+                }
+            }
         }
     }
 

@@ -15,6 +15,8 @@
 //!   and L2 banks;
 //! * [`L2Array`] — the per-VCore bank set with interleaving and the paper's
 //!   distance-based latency model;
+//! * [`Interleave`] — the shift-or-divide split of a line over banks or
+//!   Slices;
 //! * [`MshrFile`] — miss-status holding registers for non-blocking caches;
 //! * [`directory`] — the MSI directory protocol between VCores;
 //! * [`LineHashBuilder`] — the cheap hasher for `u64`-keyed maps.
@@ -36,6 +38,7 @@
 
 pub mod directory;
 pub mod hash;
+pub mod interleave;
 pub mod l2;
 pub mod mshr;
 pub mod partition;
@@ -43,6 +46,7 @@ pub mod set_assoc;
 
 pub use directory::{CoherenceAction, DirState, Directory};
 pub use hash::LineHashBuilder;
+pub use interleave::Interleave;
 pub use l2::{L2Array, L2LatencyModel, L2Outcome};
 pub use mshr::MshrFile;
 pub use partition::WayPartitionedCache;

@@ -32,7 +32,9 @@ use crate::event::WakeHeap;
 use crate::predictor::BranchPredictor;
 use crate::stats::{SimResult, StallBreakdown};
 use sharing_cache::mshr::MshrOutcome;
-use sharing_cache::{CacheGeometry, Directory, L2Array, LineHashBuilder, MshrFile, SetAssocCache};
+use sharing_cache::{
+    CacheGeometry, Directory, Interleave, L2Array, LineHashBuilder, MshrFile, SetAssocCache,
+};
 use sharing_isa::{ArchReg, DynInst, InstKind, NUM_ARCH_REGS};
 use sharing_noc::{Coord, Mesh, QueuedNetwork, Transport};
 use std::collections::{HashMap, VecDeque};
@@ -401,43 +403,6 @@ impl FuCalendar {
     }
 }
 
-/// Division by the Slice count, for PC and line interleaving: a shift
-/// and a mask when the count is a power of two, a divide otherwise.
-#[derive(Clone, Copy, Debug)]
-struct Interleave {
-    n: u64,
-    /// `log2(n)` when `n` is a power of two.
-    shift: Option<u32>,
-}
-
-impl Interleave {
-    fn new(n: usize) -> Self {
-        let n = n as u64;
-        Interleave {
-            n,
-            shift: n.is_power_of_two().then(|| n.trailing_zeros()),
-        }
-    }
-
-    /// `x % n`.
-    #[inline]
-    fn rem(self, x: u64) -> u64 {
-        match self.shift {
-            Some(_) => x & (self.n - 1),
-            None => x % self.n,
-        }
-    }
-
-    /// `x / n`.
-    #[inline]
-    fn div(self, x: u64) -> u64 {
-        match self.shift {
-            Some(k) => x >> k,
-            None => x / self.n,
-        }
-    }
-}
-
 /// Fixed network latencies of one VCore shape, computed once: they
 /// depend only on the Slice count and the operand-network knobs.
 #[derive(Clone, Debug)]
@@ -765,20 +730,20 @@ impl VCoreEngine {
     /// §3.1).
     #[must_use]
     pub fn slice_of_pc(&self, pc: u64) -> usize {
-        self.interleave.rem(pc >> 3) as usize
+        self.interleave.unit_of(pc >> 3) as usize
     }
 
     /// Which Slice's LSQ bank / L1D homes `line` (address interleaving,
     /// §3.5/§3.6).
     #[must_use]
     pub fn home_of_line(&self, line: u64) -> usize {
-        self.interleave.rem(line) as usize
+        self.interleave.unit_of(line) as usize
     }
 
     /// The home Slice's bank-local line number (interleave bits stripped so
     /// the L1D's sets are fully used).
     fn local_line(&self, line: u64) -> u64 {
-        self.interleave.div(line)
+        self.interleave.local(line)
     }
 
     /// Invalidates a line in this VCore's (home Slice's) L1D — coherence
@@ -866,7 +831,7 @@ impl VCoreEngine {
             }
             let s = self.slice_of_pc(inst.pc);
             // This Slice sees every n-th pair; strip the interleave bits.
-            let local_pair = self.interleave.div(pair);
+            let local_pair = self.interleave.local(pair);
             let slice = &mut self.slices[s];
             let out = slice.l1i.access(local_pair, false);
             if !out.hit {
@@ -1680,17 +1645,6 @@ pub(crate) mod tests {
             assert_eq!(e.home_of_line(line), (line % 4) as usize);
         }
         assert_eq!(e.local_line(12), 3);
-    }
-
-    #[test]
-    fn interleave_matches_division_for_every_slice_count() {
-        for n in 1..=crate::config::MAX_SLICES {
-            let il = Interleave::new(n);
-            for x in (0..4_096u64).chain([u64::MAX - 9, u64::MAX]) {
-                assert_eq!(il.rem(x), x % n as u64, "{x} % {n}");
-                assert_eq!(il.div(x), x / n as u64, "{x} / {n}");
-            }
-        }
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub const MAX_ARRIVAL_RATE: f64 = 100.0;
 pub const MAX_TENANT_VCORES: usize = 1_024;
 /// Most tâtonnement iterations per clearing.
 pub const MAX_AUCTION_ITERATIONS: usize = 10_000;
+/// Most auction work one run may ask for, in bidder price steps:
+/// `epochs × max(base_rate, burst_rate) × min(mean_residence, epochs) ×
+/// auction.max_iterations`, the expected resident population at the
+/// peak rate bidding every iteration of every epoch.
+pub const MAX_DC_WORK: f64 = 40_000_000.0;
 
 /// Implements `ToJson`/`FromJson` where every listed field is optional in
 /// the input and falls back to the *struct's* `Default` value (unlike
@@ -409,8 +414,8 @@ impl Scenario {
     /// Validates every field, returning the first problem found.
     ///
     /// Every size has a const cap (`MAX_CHIPS`, `MAX_EPOCHS`, …), so a
-    /// scenario that passes cannot ask a run for unbounded memory. The
-    /// caps do not bound its CPU time.
+    /// scenario that passes cannot ask a run for unbounded memory, and
+    /// its auction work is capped by [`MAX_DC_WORK`].
     ///
     /// # Errors
     ///
@@ -498,6 +503,17 @@ impl Scenario {
         if self.auction.tolerance.is_nan() || self.auction.tolerance <= 0.0 {
             return Err("auction needs `tolerance` > 0".to_string());
         }
+        let work = self.epochs as f64
+            * a.base_rate.max(a.burst_rate)
+            * a.mean_residence.min(self.epochs as f64)
+            * self.auction.max_iterations as f64;
+        if work > MAX_DC_WORK {
+            return Err(format!(
+                "scenario asks for {work:.0} bidder price steps (epochs × peak arrival rate × \
+                 min(mean_residence, epochs) × auction max_iterations); the cap is \
+                 MAX_DC_WORK = {MAX_DC_WORK}"
+            ));
+        }
         self.placement_policy()?;
         Ok(())
     }
@@ -549,6 +565,13 @@ mod tests {
             ),
             ("tariff", Box::new(|s| s.fixed_tariff.slice_price = 0.0)),
             ("auction", Box::new(|s| s.auction.tolerance = 0.0)),
+            (
+                "work",
+                Box::new(|s| {
+                    s.epochs = MAX_EPOCHS;
+                    s.auction.max_iterations = MAX_AUCTION_ITERATIONS;
+                }),
+            ),
             (
                 "no arrivals",
                 Box::new(|s| {

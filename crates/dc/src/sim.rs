@@ -21,8 +21,8 @@ use sharing_core::{ReconfigCosts, VCoreShape};
 use sharing_hv::billing::{Ledger, Tariff};
 use sharing_hv::cloud::{Cloud, CloudLease};
 use sharing_json::json_struct;
-use sharing_market::auction::{Auction, Bidder};
-use sharing_market::utility::ALL_UTILITIES;
+use sharing_market::auction::{Auction, Bidder, UtilityTable};
+use sharing_market::utility::{UtilityFn, ALL_UTILITIES};
 use sharing_market::{ExperimentSpec, Market, PerfSurface, SuiteSurfaces};
 use sharing_trace::rng::Rng64;
 use sharing_trace::Benchmark;
@@ -42,11 +42,14 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Per-workload performance surfaces, resolved before the event loop
-/// starts. Each surface is shared: every epoch's auction bids it by
-/// reference count, never by copy.
+/// starts, with each surface's `P^k` table under every utility function.
+/// Every epoch's auction bids the tables by reference count, never by
+/// copy, and they all share one shape grid.
 #[derive(Clone, Debug)]
 pub struct SurfaceCatalog {
     entries: Vec<Arc<PerfSurface>>,
+    /// Per entry, one table per utility in [`ALL_UTILITIES`] order.
+    tables: Vec<[Arc<UtilityTable>; ALL_UTILITIES.len()]>,
 }
 
 impl SurfaceCatalog {
@@ -58,7 +61,7 @@ impl SurfaceCatalog {
     /// for calibrated surfaces, an unknown benchmark.
     pub fn build(sc: &Scenario) -> Result<Self, String> {
         let names = sc.tenants.benchmark_names();
-        let entries = match sc.surfaces.source.as_str() {
+        let entries: Vec<Arc<PerfSurface>> = match sc.surfaces.source.as_str() {
             "synthetic" => names.iter().map(|n| Arc::new(Self::synthetic(n))).collect(),
             "calibrated" => {
                 let benches: Vec<Benchmark> = names
@@ -80,7 +83,15 @@ impl SurfaceCatalog {
             }
             other => return Err(format!("unknown surface source `{other}`")),
         };
-        Ok(SurfaceCatalog { entries })
+        // Synthetic surfaces come from `PerfSurface::from_fn` and
+        // calibrated ones from a `SuiteSurfaces` sweep: both cover the
+        // sweep grid in grid order, which `UtilityTable::new` asserts.
+        let grid: Arc<[VCoreShape]> = VCoreShape::sweep_grid().collect();
+        let tables = entries
+            .iter()
+            .map(|s| ALL_UTILITIES.map(|u| Arc::new(UtilityTable::new(&grid, s, u))))
+            .collect();
+        Ok(SurfaceCatalog { entries, tables })
     }
 
     /// A smooth synthetic `P(c, s)` whose Slice- and cache-affinity are
@@ -106,6 +117,20 @@ impl SurfaceCatalog {
     #[must_use]
     pub fn surface(&self, index: usize) -> &Arc<PerfSurface> {
         &self.entries[index]
+    }
+
+    /// The `P^k` table of the surface at a catalog index under `utility`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is out of range.
+    #[must_use]
+    pub fn table(&self, index: usize, utility: UtilityFn) -> &Arc<UtilityTable> {
+        let u = ALL_UTILITIES
+            .iter()
+            .position(|&x| x == utility)
+            .expect("ALL_UTILITIES lists every utility");
+        &self.tables[index][u]
     }
 
     /// The workload name at a catalog index.
@@ -913,9 +938,7 @@ impl Engine<'_> {
                 let mut auction = Auction::new(supply_slices, supply_banks);
                 for t in self.residents.values() {
                     auction.add_bidder(Bidder {
-                        name: format!("t{}", t.spawn.id),
-                        surface: Arc::clone(self.sim.catalog.surface(t.spawn.bench)),
-                        utility: t.spawn.utility,
+                        table: Arc::clone(self.sim.catalog.table(t.spawn.bench, t.spawn.utility)),
                         budget: t.spawn.budget,
                     });
                 }

@@ -16,40 +16,69 @@
 //! Markets 1–3.
 //!
 //! Each bidder's best response is the §5.6 problem that
-//! [`crate::optimize::best_utility`] solves, but a clearing asks it once
-//! per bidder per iteration at new prices over an unchanged surface. So
-//! [`Auction::clear`] first flattens every surface into a table of
-//! `(shape, P^k)` and each iteration only divides the budget by the
-//! shape's cost; the arithmetic and the tie rule are the ones
-//! `best_utility` uses, so the choice is the same to the bit.
+//! [`crate::optimize::best_utility`] solves, asked once per bidder per
+//! price step over an unchanged surface. A bidder therefore bids a
+//! [`UtilityTable`] — its surface's `P^k` in surface order, built once
+//! and shared by every bidder with the same surface and utility — and a
+//! price step costs one reciprocal per shape of the grid, one scan per
+//! distinct table, and a few candidate rows per bidder. The arithmetic
+//! and the tie rule are the ones `best_utility` uses, so the choice is
+//! the same to the bit.
 
 use crate::market::Market;
 use crate::surface::PerfSurface;
 use crate::utility::UtilityFn;
 use sharing_core::VCoreShape;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The price-independent half of a bidder's utility: `P^k` of one
+/// surface under one utility function, row by row in surface order.
+///
+/// Rows are laid out on a shape grid that tables share by reference, so
+/// a price step computes each shape's cost once for all of them.
+#[derive(Clone, Debug)]
+pub struct UtilityTable {
+    grid: Arc<[VCoreShape]>,
+    pk: Vec<f64>,
+}
+
+impl UtilityTable {
+    /// `surface`'s `P^k` under `utility`, on `grid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grid` lists exactly the surface's shapes, in
+    /// surface order: the tie rule picks the last of equal rows, so the
+    /// order is part of the result.
+    #[must_use]
+    pub fn new(grid: &Arc<[VCoreShape]>, surface: &PerfSurface, utility: UtilityFn) -> Self {
+        assert!(
+            surface.iter().map(|(s, _)| s).eq(grid.iter().copied()),
+            "surface `{}` is not laid out on the grid",
+            surface.name()
+        );
+        UtilityTable {
+            grid: Arc::clone(grid),
+            pk: surface.iter().map(|(_, p)| utility.perf_power(p)).collect(),
+        }
+    }
+}
 
 /// A customer participating in the auction.
 #[derive(Clone, Debug)]
 pub struct Bidder {
-    /// Display name.
-    pub name: String,
-    /// The customer's measured performance surface, shared rather than
-    /// owned: a datacenter bids the same catalog surface for every tenant
-    /// running that workload, every epoch, and adding a bidder must not
-    /// copy it.
-    pub surface: Arc<PerfSurface>,
-    /// Their utility function.
-    pub utility: UtilityFn,
+    /// The customer's `P^k` table, shared rather than owned: a datacenter
+    /// bids one table for every tenant running the same workload under
+    /// the same utility, every epoch.
+    pub table: Arc<UtilityTable>,
     /// Their budget per market period.
     pub budget: f64,
 }
 
 /// One bidder's cleared allocation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Allocation {
-    /// The bidder's name.
-    pub bidder: String,
     /// The VCore shape they chose at clearing prices.
     pub shape: VCoreShape,
     /// How many such VCores their budget bought.
@@ -71,7 +100,7 @@ pub struct Clearing {
     pub slice_demand: f64,
     /// Aggregate bank demand at the clearing prices.
     pub bank_demand: f64,
-    /// Per-bidder allocations.
+    /// Per-bidder allocations, in bidder order.
     pub allocations: Vec<Allocation>,
 }
 
@@ -123,69 +152,6 @@ impl Auction {
         self.bidders.len()
     }
 
-    /// Every bidder's surface as `(shape, P^k)` rows in surface order —
-    /// the price-independent half of the utility, built once per
-    /// clearing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a budget is not positive and finite, as
-    /// [`crate::optimize::best_utility`] does.
-    fn tables(&self) -> Vec<Vec<(VCoreShape, f64)>> {
-        self.bidders
-            .iter()
-            .map(|b| {
-                assert!(
-                    b.budget > 0.0 && b.budget.is_finite(),
-                    "budget must be positive and finite"
-                );
-                b.surface
-                    .iter()
-                    .map(|(shape, perf)| (shape, b.utility.perf_power(perf)))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Aggregate demand and allocations at posted prices, each bidder
-    /// choosing the shape of highest `v · P^k` from its table (the last
-    /// of equals, as `Iterator::max_by` returns).
-    fn demand_at(
-        &self,
-        tables: &[Vec<(VCoreShape, f64)>],
-        slice_price: f64,
-        bank_price: f64,
-    ) -> (f64, f64, Vec<Allocation>) {
-        let market = Market {
-            name: "auction",
-            slice_price,
-            bank_price,
-        };
-        let mut slices = 0.0;
-        let mut banks = 0.0;
-        let mut allocations = Vec::with_capacity(self.bidders.len());
-        for (b, table) in self.bidders.iter().zip(tables) {
-            let (shape, utility) = table
-                .iter()
-                .map(|&(shape, pk)| {
-                    let v = market.affordable_cores(shape, b.budget);
-                    (shape, v.max(0.0) * pk)
-                })
-                .max_by(|x, y| x.1.total_cmp(&y.1))
-                .expect("surfaces are non-empty");
-            let v = market.affordable_cores(shape, b.budget);
-            slices += v * shape.slices as f64;
-            banks += v * shape.l2_banks as f64;
-            allocations.push(Allocation {
-                bidder: b.name.clone(),
-                shape,
-                vcores: v,
-                utility,
-            });
-        }
-        (slices, banks, allocations)
-    }
-
     /// Runs the tâtonnement: prices move with excess demand until both
     /// resources are within `tolerance` of supply (relative) or
     /// `max_iterations` pass. Demand is discrete in configurations, so
@@ -194,8 +160,8 @@ impl Auction {
     ///
     /// # Panics
     ///
-    /// Panics if there are no bidders, `tolerance` is not positive, or
-    /// `max_iterations` is zero.
+    /// Panics if there are no bidders, `tolerance` is not positive,
+    /// `max_iterations` is zero, or a budget is not positive and finite.
     #[must_use]
     pub fn clear(&self, max_iterations: usize, tolerance: f64) -> Clearing {
         assert!(!self.bidders.is_empty(), "auction needs bidders");
@@ -204,22 +170,26 @@ impl Auction {
         let mut ps = Market::MARKET2.slice_price;
         let mut pb = Market::MARKET2.bank_price;
         let mut best: Option<(f64, Clearing)> = None;
-        let tables = self.tables();
+        let mut book = Book::new(&self.bidders);
+        let mut allocations = Vec::with_capacity(self.bidders.len());
         for iteration in 1..=max_iterations {
-            let (sd, bd, allocations) = self.demand_at(&tables, ps, pb);
-            let clearing = Clearing {
-                slice_price: ps,
-                bank_price: pb,
-                iterations: iteration,
-                slice_demand: sd,
-                bank_demand: bd,
-                allocations,
-            };
+            let (sd, bd) = book.demand_at(ps, pb, &mut allocations);
             // Distance from clearing, in relative excess-demand terms.
             let s_ratio = sd / self.supply_slices;
             let b_ratio = bd / self.supply_banks;
             let err = (s_ratio - 1.0).abs().max((b_ratio - 1.0).abs());
             if best.as_ref().is_none_or(|(e, _)| err < *e) {
+                // The kept clearing takes this step's allocations, and the
+                // next step refills the buffer it held before.
+                let spare = best.take().map_or_else(Vec::new, |(_, c)| c.allocations);
+                let clearing = Clearing {
+                    slice_price: ps,
+                    bank_price: pb,
+                    iterations: iteration,
+                    slice_demand: sd,
+                    bank_demand: bd,
+                    allocations: std::mem::replace(&mut allocations, spare),
+                };
                 best = Some((err, clearing));
             }
             if err <= tolerance {
@@ -234,11 +204,175 @@ impl Auction {
     }
 }
 
+/// Relative width of a table's candidate band below its best
+/// `P^k / cost`; see [`TableScan::scan`] for why it is exact.
+const CANDIDATE_MARGIN: f64 = 1e-9;
+/// Range of a table's best `P^k / cost` inside which the band applies.
+const TAME_Q: std::ops::RangeInclusive<f64> = 1e-270..=1e270;
+/// Range of budgets the band applies to.
+const TAME_BUDGET: std::ops::RangeInclusive<f64> = 1e-18..=1e18;
+
+/// One clearing's bidders grouped by grid and table, with the buffers
+/// every price step refills.
+struct Book<'a> {
+    grids: Vec<GridCosts<'a>>,
+    tables: Vec<TableScan<'a>>,
+    /// Per bidder, in bidder order: its table's index, its budget, and
+    /// whether the budget lies in [`TAME_BUDGET`].
+    bidders: Vec<(usize, f64, bool)>,
+}
+
+/// Every shape's cost, and its reciprocal, at the current prices.
+struct GridCosts<'a> {
+    shapes: &'a [VCoreShape],
+    cost: Vec<f64>,
+    inv: Vec<f64>,
+}
+
+/// One distinct table and the rows of it a bidder may still choose.
+struct TableScan<'a> {
+    grid: usize,
+    pk: &'a [f64],
+    candidates: Vec<usize>,
+}
+
+impl<'a> Book<'a> {
+    /// Groups bidders by table and tables by grid, both by `Arc`
+    /// identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a budget is not positive and finite, as
+    /// [`crate::optimize::best_utility`] does.
+    fn new(bidders: &'a [Bidder]) -> Self {
+        let mut grid_ids: HashMap<*const VCoreShape, usize> = HashMap::new();
+        let mut table_ids: HashMap<*const UtilityTable, usize> = HashMap::new();
+        let mut book = Book {
+            grids: Vec::new(),
+            tables: Vec::new(),
+            bidders: Vec::with_capacity(bidders.len()),
+        };
+        for b in bidders {
+            assert!(
+                b.budget > 0.0 && b.budget.is_finite(),
+                "budget must be positive and finite"
+            );
+            let table = *table_ids.entry(Arc::as_ptr(&b.table)).or_insert_with(|| {
+                let shapes: &[VCoreShape] = &b.table.grid;
+                let grid = *grid_ids.entry(shapes.as_ptr()).or_insert_with(|| {
+                    book.grids.push(GridCosts {
+                        shapes,
+                        cost: vec![0.0; shapes.len()],
+                        inv: vec![0.0; shapes.len()],
+                    });
+                    book.grids.len() - 1
+                });
+                book.tables.push(TableScan {
+                    grid,
+                    pk: &b.table.pk,
+                    candidates: Vec::with_capacity(shapes.len()),
+                });
+                book.tables.len() - 1
+            });
+            book.bidders
+                .push((table, b.budget, TAME_BUDGET.contains(&b.budget)));
+        }
+        book
+    }
+
+    /// Aggregate demand at posted prices, with every bidder's allocation
+    /// written to `out` in bidder order. Each bidder takes the row of
+    /// highest `v · P^k`, the last of equals, as `best_utility` does.
+    fn demand_at(
+        &mut self,
+        slice_price: f64,
+        bank_price: f64,
+        out: &mut Vec<Allocation>,
+    ) -> (f64, f64) {
+        let market = Market {
+            name: "auction",
+            slice_price,
+            bank_price,
+        };
+        for g in &mut self.grids {
+            for ((c, inv), &shape) in g.cost.iter_mut().zip(&mut g.inv).zip(g.shapes) {
+                *c = market.vcore_cost(shape);
+                *inv = 1.0 / *c;
+            }
+        }
+        for t in &mut self.tables {
+            t.scan(&self.grids[t.grid].inv);
+        }
+        out.clear();
+        let mut slices = 0.0;
+        let mut banks = 0.0;
+        for &(table, budget, tame) in &self.bidders {
+            let t = &self.tables[table];
+            let g = &self.grids[t.grid];
+            let utility_of = |k: usize| (k, (budget / g.cost[k]).max(0.0) * t.pk[k]);
+            let pick = |x: &(usize, f64), y: &(usize, f64)| x.1.total_cmp(&y.1);
+            let (k, utility) = if tame {
+                t.candidates.iter().map(|&k| utility_of(k)).max_by(pick)
+            } else {
+                (0..t.pk.len()).map(utility_of).max_by(pick)
+            }
+            .expect("surfaces are non-empty");
+            let shape = g.shapes[k];
+            let v = budget / g.cost[k];
+            slices += v * shape.slices as f64;
+            banks += v * shape.l2_banks as f64;
+            out.push(Allocation {
+                shape,
+                vcores: v,
+                utility,
+            });
+        }
+        (slices, banks)
+    }
+}
+
+impl TableScan<'_> {
+    /// Keeps the rows whose `q_k = P^k · (1 / c_k)` lies within
+    /// [`CANDIDATE_MARGIN`] of the table's best, or every row when that
+    /// best is outside [`TAME_Q`] (an all-zero table, say).
+    ///
+    /// Why no other row can win or tie for a bidder with a budget `B` in
+    /// [`TAME_BUDGET`]: prices are clamped to `[1e-3, 1e6]` and a shape
+    /// has at most 8 Slices and 128 banks, so every cost `c_k` lies in
+    /// `[1e-3, 1.4e8]` and every quotient `B / c_k` is a normal number.
+    /// With `r_k = P^k / c_k` exactly and ε = 2⁻⁵³, `q_k` is within
+    /// about 2ε of `r_k`, and so is the bidder's `u_k = (B / c_k) · P^k`
+    /// of `B · r_k`, while the best row's `u*` is a normal number
+    /// (`B · r*` lies in about `[1e-288, 1e288]`). A row below the band
+    /// has `r_k < r* (1 − 1e-9 + 6ε)`, so `u_k < u*` strictly: the
+    /// margin is over a million times the rounding. A row whose `q_k`
+    /// underflows has `B · r_k` below `1e-289`, under `u*` again. So the
+    /// last of the bidder's best rows in row order is always a candidate,
+    /// and scanning candidates alone, in row order, picks it.
+    fn scan(&mut self, inv: &[f64]) {
+        let q = |k: usize| self.pk[k] * inv[k];
+        let q_max = (0..self.pk.len()).map(q).fold(f64::NEG_INFINITY, f64::max);
+        self.candidates.clear();
+        if TAME_Q.contains(&q_max) {
+            let floor = q_max - q_max * CANDIDATE_MARGIN;
+            self.candidates
+                .extend((0..self.pk.len()).filter(|&k| q(k) >= floor));
+        } else {
+            self.candidates.extend(0..self.pk.len());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimize::best_utility;
     use crate::utility::ALL_UTILITIES;
+    use sharing_trace::rng::Rng64;
+
+    fn grid() -> Arc<[VCoreShape]> {
+        VCoreShape::sweep_grid().collect()
+    }
 
     fn surface(slice_love: f64, cache_love: f64) -> PerfSurface {
         PerfSurface::from_fn("syn", move |s| {
@@ -247,11 +381,14 @@ mod tests {
         })
     }
 
-    fn bidder(name: &str, slice_love: f64, cache_love: f64, budget: f64) -> Bidder {
+    fn bidder(slice_love: f64, cache_love: f64, budget: f64) -> Bidder {
+        let table = UtilityTable::new(
+            &grid(),
+            &surface(slice_love, cache_love),
+            UtilityFn::Balanced,
+        );
         Bidder {
-            name: name.to_string(),
-            surface: Arc::new(surface(slice_love, cache_love)),
-            utility: UtilityFn::Balanced,
+            table: Arc::new(table),
             budget,
         }
     }
@@ -259,8 +396,8 @@ mod tests {
     #[test]
     fn auction_converges_near_clearing() {
         let mut a = Auction::new(64.0, 64.0);
-        a.add_bidder(bidder("compute", 1.5, 0.2, 100.0));
-        a.add_bidder(bidder("cachey", 0.2, 2.5, 100.0));
+        a.add_bidder(bidder(1.5, 0.2, 100.0));
+        a.add_bidder(bidder(0.2, 2.5, 100.0));
         let c = a.clear(200, 0.10);
         assert!(
             (c.slice_demand / 64.0 - 1.0).abs() <= 0.25,
@@ -279,8 +416,8 @@ mod tests {
     fn scarcity_raises_the_clearing_price() {
         let mk = |slices: f64| {
             let mut a = Auction::new(slices, 128.0);
-            a.add_bidder(bidder("compute", 1.5, 0.2, 100.0));
-            a.add_bidder(bidder("compute2", 1.2, 0.3, 100.0));
+            a.add_bidder(bidder(1.5, 0.2, 100.0));
+            a.add_bidder(bidder(1.2, 0.3, 100.0));
             a.clear(200, 0.05)
         };
         let scarce = mk(16.0);
@@ -296,7 +433,7 @@ mod tests {
     #[test]
     fn budgets_are_respected_at_clearing() {
         let mut a = Auction::new(32.0, 32.0);
-        a.add_bidder(bidder("x", 1.0, 1.0, 50.0));
+        a.add_bidder(bidder(1.0, 1.0, 50.0));
         let c = a.clear(100, 0.1);
         for alloc in &c.allocations {
             let cost = alloc.vcores
@@ -308,12 +445,12 @@ mod tests {
 
     #[test]
     fn demand_substitutes_away_from_expensive_resources() {
-        let mut a = Auction::new(1.0, 1.0);
-        a.add_bidder(bidder("flex", 1.0, 1.0, 100.0));
+        let bidders = [bidder(1.0, 1.0, 100.0)];
+        let mut book = Book::new(&bidders);
+        let mut out = Vec::new();
         // At slice-heavy prices the bidder buys relatively more banks.
-        let tables = a.tables();
-        let (s_cheap_slices, b_cheap_slices, _) = a.demand_at(&tables, 1.0, 8.0);
-        let (s_dear_slices, b_dear_slices, _) = a.demand_at(&tables, 8.0, 1.0);
+        let (s_cheap_slices, b_cheap_slices) = book.demand_at(1.0, 8.0, &mut out);
+        let (s_dear_slices, b_dear_slices) = book.demand_at(8.0, 1.0, &mut out);
         let ratio_cheap = s_cheap_slices / b_cheap_slices.max(1e-9);
         let ratio_dear = s_dear_slices / b_dear_slices.max(1e-9);
         assert!(
@@ -322,59 +459,211 @@ mod tests {
         );
     }
 
-    #[test]
-    fn table_demand_is_best_utility_to_the_bit() {
-        let mut a = Auction::new(16.0, 16.0);
-        for (i, utility) in ALL_UTILITIES.into_iter().enumerate() {
-            let f = i as f64;
-            a.add_bidder(Bidder {
-                utility,
-                ..bidder(&format!("b{i}"), 0.4 + f, 2.0 - f * 0.7, 37.5 + 40.0 * f)
-            });
-        }
-        // A bidder whose surface is zero or negative: every shape is worth
-        // exactly 0, so the tie rule alone picks the shape.
-        a.add_bidder(Bidder {
-            name: "idle".into(),
-            surface: Arc::new(PerfSurface::from_fn("idle", |s| {
-                if s.slices > 6 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            })),
-            utility: UtilityFn::LatencyCritical,
-            budget: 64.0,
-        });
-        let tables = a.tables();
-        for (ps, pb) in [
-            (2.0, 1.0),
-            (8.0, 1.0),
-            (2.0, 4.0),
-            (0.37, 11.3),
-            (1e-3, 1e6),
-        ] {
+    /// A bidder as the reference sees it, next to the bid it makes.
+    struct Case {
+        surface: Arc<PerfSurface>,
+        utility: UtilityFn,
+        bidder: Bidder,
+    }
+
+    /// Clears `cases` at each price pair and checks every bidder's shape,
+    /// VCore count and utility against `best_utility`, bit for bit.
+    /// Returns how many (table, prices) pairs kept two or more candidate
+    /// rows.
+    fn assert_matches_best_utility(cases: &[Case], prices: &[(f64, f64)]) -> usize {
+        let bidders: Vec<Bidder> = cases.iter().map(|c| c.bidder.clone()).collect();
+        let mut book = Book::new(&bidders);
+        let mut out = Vec::new();
+        let mut multi = 0;
+        for &(ps, pb) in prices {
             let market = Market {
                 name: "auction",
                 slice_price: ps,
                 bank_price: pb,
             };
-            let (_, _, allocations) = a.demand_at(&tables, ps, pb);
-            for (b, alloc) in a.bidders.iter().zip(&allocations) {
-                let chosen = best_utility(&b.surface, b.utility, &market, b.budget);
-                assert_eq!(alloc.shape, chosen.shape, "{} at ({ps}, {pb})", b.name);
-                assert_eq!(alloc.utility.to_bits(), chosen.value.to_bits());
-                let v = market.affordable_cores(chosen.shape, b.budget);
-                assert_eq!(alloc.vcores.to_bits(), v.to_bits());
+            book.demand_at(ps, pb, &mut out);
+            multi += book
+                .tables
+                .iter()
+                .filter(|t| t.candidates.len() >= 2)
+                .count();
+            for (case, alloc) in cases.iter().zip(&out) {
+                let budget = case.bidder.budget;
+                let chosen = best_utility(&case.surface, case.utility, &market, budget);
+                let at = format!(
+                    "{} {:?} budget {budget} at ({ps}, {pb})",
+                    case.surface.name(),
+                    case.utility
+                );
+                assert_eq!(alloc.shape, chosen.shape, "{at}");
+                assert_eq!(alloc.utility.to_bits(), chosen.value.to_bits(), "{at}");
+                let v = market.affordable_cores(chosen.shape, budget);
+                assert_eq!(alloc.vcores.to_bits(), v.to_bits(), "{at}");
             }
         }
+        multi
+    }
+
+    /// Bids `surface` under `utility` once per budget, sharing one table.
+    fn cases_for(
+        grid: &Arc<[VCoreShape]>,
+        surface: PerfSurface,
+        utility: UtilityFn,
+        budgets: &[f64],
+    ) -> Vec<Case> {
+        let surface = Arc::new(surface);
+        let table = Arc::new(UtilityTable::new(grid, &surface, utility));
+        budgets
+            .iter()
+            .map(|&budget| Case {
+                surface: Arc::clone(&surface),
+                utility,
+                bidder: Bidder {
+                    table: Arc::clone(&table),
+                    budget,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_demand_is_best_utility_to_the_bit() {
+        let grid = grid();
+        let mut cases = Vec::new();
+        for (i, utility) in ALL_UTILITIES.into_iter().enumerate() {
+            let f = i as f64;
+            let s = surface(0.4 + f, 2.0 - f * 0.7);
+            cases.extend(cases_for(&grid, s, utility, &[37.5 + 40.0 * f]));
+        }
+        // A bidder whose surface is zero or negative: every shape is worth
+        // exactly 0, so the tie rule alone picks the shape.
+        let idle = PerfSurface::from_fn("idle", |s| if s.slices > 6 { -1.0 } else { 0.0 });
+        cases.extend(cases_for(&grid, idle, UtilityFn::LatencyCritical, &[64.0]));
+        let prices = [
+            (2.0, 1.0),
+            (8.0, 1.0),
+            (2.0, 4.0),
+            (0.37, 11.3),
+            (1e-3, 1e6),
+        ];
+        assert_matches_best_utility(&cases, &prices);
+    }
+
+    /// A log-uniform draw from `[lo, hi]`.
+    fn log_uniform(rng: &mut Rng64, lo: f64, hi: f64) -> f64 {
+        (lo.ln() + rng.f64() * (hi.ln() - lo.ln())).exp()
+    }
+
+    /// Seeded differential test of the candidate band: plateaus, zero and
+    /// negative surfaces, rows built to tie within the margin, surfaces
+    /// whose utilities overflow or underflow, several budgets per table,
+    /// and prices across the whole clamp range.
+    #[test]
+    fn candidate_band_matches_best_utility_on_seeded_surfaces() {
+        let grid = grid();
+        let shapes: Vec<VCoreShape> = grid.to_vec();
+        let mut rng = Rng64::seed_from_u64(0x5EED_A0C7);
+        let mut compared = 0;
+        let mut multi = 0;
+        for round in 0..40 {
+            let prices: Vec<(f64, f64)> = (0..6)
+                .map(|i| match i {
+                    0 => (2.0, 1.0),
+                    1 => (1e-3, 1e6),
+                    2 => (1e6, 1e-3),
+                    _ => (
+                        log_uniform(&mut rng, 1e-3, 1e6),
+                        log_uniform(&mut rng, 1e-3, 1e6),
+                    ),
+                })
+                .collect();
+            // Near ties are tuned to one of the drawn price pairs.
+            let (tps, tpb) = prices[rng.usize_inclusive(0, prices.len() - 1)];
+            let tuned = Market {
+                name: "tuned",
+                slice_price: tps,
+                bank_price: tpb,
+            };
+            let mut cases = Vec::new();
+            for kind in 0..8 {
+                let utility = ALL_UTILITIES[rng.usize_inclusive(0, 2)];
+                let k = utility.exponent() as i32;
+                let slice_love = 0.1 + 2.0 * rng.f64();
+                let cache_love = 0.1 + 3.0 * rng.f64();
+                let smooth = move |s: VCoreShape| {
+                    (1.0 + slice_love * (s.slices as f64).ln())
+                        * (1.0 + cache_love * (1.0 + s.l2_banks as f64).ln() / 4.0)
+                };
+                let name = format!("r{round}k{kind}");
+                let s = match kind {
+                    0 => PerfSurface::from_fn(name, smooth),
+                    // Plateaus: a handful of perf levels shared by many
+                    // shapes, so equal costs tie exactly.
+                    1 => {
+                        let step = 0.25 + rng.f64();
+                        PerfSurface::from_fn(name, move |s| (smooth(s) / step).floor() * step)
+                    }
+                    2 => PerfSurface::from_fn(name, |_| 0.0),
+                    3 => PerfSurface::from_fn(name, move |s| -smooth(s)),
+                    // `q` above and below the band's range: utilities
+                    // overflow to ∞ or lose precision to underflow.
+                    6 => PerfSurface::from_fn(name, move |s| smooth(s) * 1e100),
+                    7 => PerfSurface::from_fn(name, move |s| smooth(s) * 1e-104),
+                    // Two or three rows whose `P^k / cost` at the tuned
+                    // prices sit within the margin of the best row's.
+                    _ => {
+                        let base = PerfSurface::from_fn(name.clone(), smooth);
+                        let ratio = |s: VCoreShape, p: f64| p.powi(k) / tuned.vcore_cost(s);
+                        let best = shapes
+                            .iter()
+                            .copied()
+                            .max_by(|&a, &b| {
+                                ratio(a, base.perf(a)).total_cmp(&ratio(b, base.perf(b)))
+                            })
+                            .expect("grid is non-empty");
+                        let target = ratio(best, base.perf(best));
+                        let mut points: std::collections::BTreeMap<_, _> = base.iter().collect();
+                        for _ in 0..rng.usize_inclusive(1, 2) {
+                            let other = shapes[rng.usize_inclusive(0, shapes.len() - 1)];
+                            let rel = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 5e-10, -5e-10]
+                                [rng.usize_inclusive(0, 6)];
+                            let want = target * (1.0 + rel) * tuned.vcore_cost(other);
+                            points.insert(other, want.powf(1.0 / f64::from(k)));
+                        }
+                        PerfSurface::new(name, points)
+                    }
+                };
+                let budgets: Vec<f64> = (0..rng.usize_inclusive(1, 4))
+                    .map(|_| match rng.usize_inclusive(0, 9) {
+                        // Budgets outside the band's range take the full
+                        // scan; the extremes overflow or underflow `u`.
+                        0 => log_uniform(&mut rng, 1e-320, 1e-18),
+                        1 => log_uniform(&mut rng, 1e18, 1e307),
+                        _ => log_uniform(&mut rng, 1e-3, 1e6),
+                    })
+                    .collect();
+                compared += budgets.len() * prices.len();
+                cases.extend(cases_for(&grid, s, utility, &budgets));
+            }
+            multi += assert_matches_best_utility(&cases, &prices);
+        }
+        assert!(compared >= 2_000, "only {compared} cases");
+        assert!(multi > 0, "no candidate set held two rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "not laid out on the grid")]
+    fn tables_follow_the_surface_order() {
+        let mut shapes: Vec<VCoreShape> = VCoreShape::sweep_grid().collect();
+        shapes.reverse();
+        let _ = UtilityTable::new(&shapes.into(), &surface(1.0, 1.0), UtilityFn::Throughput);
     }
 
     #[test]
     #[should_panic(expected = "budget must be positive")]
     fn non_positive_budgets_are_rejected() {
         let mut a = Auction::new(8.0, 8.0);
-        a.add_bidder(bidder("broke", 1.0, 1.0, 0.0));
+        a.add_bidder(bidder(1.0, 1.0, 0.0));
         let _ = a.clear(10, 0.1);
     }
 

@@ -50,7 +50,7 @@ pub mod phases;
 pub mod surface;
 pub mod utility;
 
-pub use auction::{Auction, Bidder, Clearing};
+pub use auction::{Auction, Bidder, Clearing, UtilityTable};
 pub use autotuner::{AutoTuner, Objective};
 pub use efficiency::{EfficiencyStudy, PairGain};
 pub use market::Market;

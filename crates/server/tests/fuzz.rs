@@ -20,8 +20,8 @@
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
 use sharing_dc::scenario::{
-    MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_CHIPS, MAX_COLS, MAX_EPOCHS, MAX_ROWS,
-    MAX_TENANT_VCORES,
+    MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_CHIPS, MAX_COLS, MAX_DC_WORK, MAX_EPOCHS,
+    MAX_ROWS, MAX_TENANT_VCORES,
 };
 use sharing_dc::Scenario;
 use sharing_http::{HttpError, Limits, RequestParser};
@@ -361,6 +361,22 @@ fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
     out
 }
 
+/// `dc` lines whose every field is within its own cap, asking for
+/// `MAX_DC_WORK` bidder price steps and for one more, as
+/// `(line, accepted)`: 10 000 epochs × 8 arrivals × 50 iterations, with
+/// the mean residence that makes up the rest.
+fn dc_work_boundaries() -> Vec<(String, bool)> {
+    let line = |work: f64| {
+        let residence = work / (10_000.0 * 8.0 * 50.0);
+        format!(
+            "{{\"type\":\"dc\",\"scenario\":{{\"name\":\"x\",\"epochs\":10000,\
+             \"arrivals\":{{\"base_rate\":8,\"burst_rate\":8,\"mean_residence\":{residence:?}}},\
+             \"auction\":{{\"max_iterations\":50}}}},\"seed\":1}}"
+        )
+    };
+    vec![(line(MAX_DC_WORK), true), (line(MAX_DC_WORK + 1.0), false)]
+}
+
 #[test]
 fn dc_scenarios_are_capped_at_parse() {
     let hostile = Envelope::parse(HOSTILE_DC).expect_err("hostile dc line");
@@ -383,6 +399,21 @@ fn dc_scenarios_are_capped_at_parse() {
                 if let Some(cap) = cap {
                     assert!(e.message.contains(&cap), "{line}: {e:?}");
                 }
+            }
+        }
+    }
+    for (line, accepted) in dc_work_boundaries() {
+        match Envelope::parse(&line) {
+            Ok(Envelope {
+                req: Request::Job(Job::Dc(_)),
+                ..
+            }) => assert!(accepted, "{line}"),
+            Ok(other) => panic!("{line}: parsed as {other:?}"),
+            Err(e) => {
+                assert!(!accepted, "{line}: {e:?}");
+                assert_eq!(e.code, ErrorCode::BadRequest, "{line}");
+                assert!(e.message.contains("MAX_DC_WORK"), "{line}: {e:?}");
+                assert!(e.message.contains(&MAX_DC_WORK.to_string()), "{e:?}");
             }
         }
     }
@@ -438,6 +469,12 @@ fn a_live_daemon_refuses_oversized_lengths_and_keeps_serving() {
             .into_iter()
             .filter(|(_, _, accepted, _)| !accepted)
             .map(|(path, value, _, _)| dc_line(path, &value)),
+    );
+    lines.extend(
+        dc_work_boundaries()
+            .into_iter()
+            .filter(|(_, accepted)| !accepted)
+            .map(|(line, _)| line),
     );
     for line in valid_lines().iter().filter(|l| l.contains("\"len\":")) {
         lines.extend(

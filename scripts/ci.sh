@@ -185,13 +185,16 @@ HOSTILE_REPLY=$(timeout 10 bash -c '
   printf "%s\n" "$reply"')
 grep -q '"code":"bad_request"' <<<"$HOSTILE_REPLY"
 "$SSIM" submit --addr 127.0.0.1:24115 --ping >/dev/null
-# A short run line whose len would allocate 3.2 TB, and a 66-byte dc
-# line whose epochs would allocate 104 GB, are refused at parse, on a
-# worker and on the coordinator, and both go on serving.
+# A short run line whose len would allocate 3.2 TB, a 66-byte dc line
+# whose epochs would allocate 104 GB, and a dc line within every field's
+# cap whose auction work (6e9 bidder price steps) is past MAX_DC_WORK
+# are refused at parse, on a worker and on the coordinator, and both go
+# on serving.
 for port in 24116 24117; do
   for line in \
     '{"type":"run","benchmark":"gcc","slices":2,"banks":4,"len":100000000000,"seed":1}' \
-    '{"type":"dc","scenario":{"name":"x","epochs":1000000000},"seed":1}'; do
+    '{"type":"dc","scenario":{"name":"x","epochs":1000000000},"seed":1}' \
+    '{"type":"dc","scenario":{"name":"x","epochs":10000,"auction":{"max_iterations":10000}},"seed":1}'; do
     CAP_REPLY=$(timeout 10 bash -c '
       exec 3<>/dev/tcp/127.0.0.1/'"$port"'
       printf "%s\n" "$1" >&3
