@@ -189,7 +189,10 @@ impl L2Array {
             hit: out.hit,
             bank: b,
             latency,
-            writeback: out.writeback,
+            // The bank holds local numbers; put the interleave bits back.
+            writeback: out
+                .writeback
+                .map(|w| w * self.banks.len() as u64 + b as u64),
         }
     }
 
@@ -274,10 +277,26 @@ mod tests {
                 let want = banks[b].access(line / n as u64, is_write);
                 assert_eq!(out.bank, b, "{line} over {n} banks");
                 assert_eq!(out.hit, want.hit, "{line} over {n} banks");
-                assert_eq!(out.writeback, want.writeback, "{line} over {n} banks");
+                let global = want.writeback.map(|w| w * n as u64 + b as u64);
+                assert_eq!(out.writeback, global, "{line} over {n} banks");
                 if i % 7 == 0 {
                     assert_eq!(l2.invalidate(line), banks[b].invalidate(line / n as u64));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_victim_is_written_back_as_its_own_line() {
+        let lines_per_bank = BANK_EFFECTIVE_BYTES / LINE_BYTES;
+        for n in 1..=16u64 {
+            for dirty in [0, 5, n * 1_000 + n / 2, u64::MAX / 2] {
+                let mut l2 = L2Array::new(n as usize);
+                assert_eq!(l2.access(dirty, true).writeback, None);
+                // Clean reads of the same bank's lines push it out.
+                let victim = (1..=2 * lines_per_bank)
+                    .find_map(|i| l2.access(dirty + i * n, false).writeback);
+                assert_eq!(victim, Some(dirty), "line {dirty} over {n} banks");
             }
         }
     }

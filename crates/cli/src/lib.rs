@@ -1223,7 +1223,7 @@ fn execute_dc(args: &DcArgs) -> Result<String, CliError> {
             let log = std::path::Path::new(dir).join(format!("{stem}.log"));
             std::fs::write(&csv, o.csv())
                 .map_err(|e| CliError::BadScenario(format!("{}: {e}", csv.display())))?;
-            std::fs::write(&log, &o.log)
+            std::fs::write(&log, o.log())
                 .map_err(|e| CliError::BadScenario(format!("{}: {e}", log.display())))?;
             let _ = writeln!(out, "wrote {} and {}", csv.display(), log.display());
         }

@@ -27,7 +27,7 @@ use sharing_market::{ExperimentSpec, Market, PerfSurface, SuiteSurfaces};
 use sharing_trace::rng::Rng64;
 use sharing_trace::Benchmark;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// FNV-1a over bytes; used for synthetic surface shaping and log hashing.
@@ -39,6 +39,97 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// `10^places` for every precision [`Fixed`] writes itself.
+const POW10: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
+
+/// A float written to a fixed number of decimal places: byte for byte
+/// what `{:.places$}` writes, including width and alignment, without
+/// `core::fmt`'s exact float path.
+///
+/// A finite `x` is exactly `m·2^e` with `m < 2^53`, so `x·10^places` is
+/// the exact ratio `m·10^places / 2^−e`. For `e ≤ 40` and `places ≤ 6`
+/// the numerator fits a `u128`: the quotient is the digits and the
+/// remainder, against half of `2^−e`, rounds them, ties to even, as
+/// `{:.N}` does. A negative `x` keeps its sign even when it rounds to
+/// zero (`-0.0000`). NaN, ±∞, `e > 40` and wider precisions are written
+/// by `{:.N}` itself.
+struct Fixed(f64, usize);
+
+impl Fixed {
+    /// The digits in the tail of `buf`, or `None` where `{:.N}` writes them.
+    fn digits(&self, buf: &mut [u8; 40]) -> Option<usize> {
+        let Fixed(x, places) = *self;
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let fraction = bits & ((1 << 52) - 1);
+        let (m, e) = match biased {
+            0x7ff => return None,
+            0 => (fraction, -1074),
+            _ => (fraction | 1 << 52, biased - 1075),
+        };
+        if e > 40 || places >= POW10.len() {
+            return None;
+        }
+        let p = POW10[places];
+        let scaled = u128::from(m) * u128::from(p);
+        let q = if e >= 0 {
+            scaled << e
+        } else if e > -128 {
+            let s = e.unsigned_abs();
+            let q = scaled >> s;
+            let r = scaled & ((1 << s) - 1);
+            let half = 1 << (s - 1);
+            q + u128::from(r > half || (r == half && q & 1 == 1))
+        } else {
+            // `scaled < 2^73`, short of half of `2^128`: rounds to zero.
+            0
+        };
+        let int = q / u128::from(p);
+        let end = buf.len();
+        let mut at = put_digits(buf, end, (q % u128::from(p)) as u64, places);
+        if places > 0 {
+            at -= 1;
+            buf[at] = b'.';
+        }
+        // `int < 2^113`: past `u64`, the low 19 digits and then the rest.
+        const E19: u128 = 10_000_000_000_000_000_000;
+        at = match u64::try_from(int) {
+            Ok(int) => put_digits(buf, at, int, 1),
+            Err(_) => {
+                let at = put_digits(buf, at, (int % E19) as u64, 19);
+                put_digits(buf, at, (int / E19) as u64, 1)
+            }
+        };
+        if bits >> 63 == 1 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        Some(at)
+    }
+}
+
+/// Writes `v` in decimal, zero-padded to `width` digits, so that it ends
+/// just before `buf[end]`; returns where it starts.
+fn put_digits(buf: &mut [u8], mut end: usize, mut v: u64, width: usize) -> usize {
+    let stop = end - width;
+    while v > 0 || end > stop {
+        end -= 1;
+        buf[end] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    end
+}
+
+impl fmt::Display for Fixed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut buf = [0u8; 40];
+        match self.digits(&mut buf) {
+            Some(at) => f.pad(std::str::from_utf8(&buf[at..]).expect("ASCII digits")),
+            None => f.pad(&format!("{:.*}", self.1, self.0)),
+        }
+    }
 }
 
 /// Per-workload performance surfaces, resolved before the event loop
@@ -282,7 +373,9 @@ pub struct DcOutcome {
     /// Per-epoch records, one per scenario epoch.
     pub records: Vec<EpochRecord>,
     /// Human-readable, deterministic event log.
-    pub log: String,
+    log: String,
+    /// FNV-1a of `log`, hashed once when the run returns.
+    log_hash: u64,
     /// Arrivals processed.
     pub arrivals: u64,
     /// Departures processed.
@@ -323,10 +416,16 @@ impl DcOutcome {
         }
     }
 
+    /// The human-readable, deterministic event log.
+    #[must_use]
+    pub fn log(&self) -> &str {
+        &self.log
+    }
+
     /// FNV-1a hash of the event log, hex-encoded.
     #[must_use]
     pub fn log_hash(&self) -> String {
-        format!("{:016x}", fnv64(self.log.as_bytes()))
+        format!("{:016x}", self.log_hash)
     }
 
     /// The epoch series as CSV (deterministic formatting).
@@ -340,20 +439,20 @@ impl DcOutcome {
         for r in &self.records {
             let _ = writeln!(
                 out,
-                "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.6},{:.6}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.epoch,
                 r.tenants,
-                r.slice_price,
-                r.bank_price,
-                r.revenue,
-                r.fixed_instance_revenue,
-                r.utility,
+                Fixed(r.slice_price, 6),
+                Fixed(r.bank_price, 6),
+                Fixed(r.revenue, 6),
+                Fixed(r.fixed_instance_revenue, 6),
+                Fixed(r.utility, 6),
                 r.placed_vcores,
                 r.denied_vcores,
                 r.priced_out,
                 r.reconfig_cycles,
-                r.slice_utilization,
-                r.fragmentation,
+                Fixed(r.slice_utilization, 6),
+                Fixed(r.fragmentation, 6),
             );
         }
         out
@@ -365,18 +464,18 @@ impl DcOutcome {
         let t = self.totals();
         format!(
             "{} [{}]: {} epochs, {} arrivals ({} peak residents), \
-             utility {:.1}, revenue {:.1}, {} denied VCores, \
-             {} reconfig cycles, mean fragmentation {:.3}",
+             utility {}, revenue {}, {} denied VCores, \
+             {} reconfig cycles, mean fragmentation {}",
             self.scenario,
             t.mode,
             t.epochs,
             t.arrivals,
             t.peak_tenants,
-            t.aggregate_utility,
-            t.revenue,
+            Fixed(t.aggregate_utility, 1),
+            Fixed(t.revenue, 1),
             t.denied_vcores,
             t.reconfig_cycles,
-            t.mean_fragmentation,
+            Fixed(t.mean_fragmentation, 3),
         )
     }
 }
@@ -425,7 +524,7 @@ impl Comparison {
         let mut out = String::new();
         let _ = writeln!(out, "{:<24} {:>14} {:>14}", "metric", "sharing", "fixed");
         let mut row = |name: &str, a: f64, b: f64| {
-            let _ = writeln!(out, "{name:<24} {a:>14.2} {b:>14.2}");
+            let _ = writeln!(out, "{name:<24} {:>14} {:>14}", Fixed(a, 2), Fixed(b, 2));
         };
         row(
             "aggregate utility",
@@ -461,9 +560,9 @@ impl Comparison {
         row("peak slice price", s.peak_slice_price, f.peak_slice_price);
         let _ = writeln!(
             out,
-            "utility gain {:.3}x, revenue ratio {:.3}x",
-            self.utility_gain(),
-            self.revenue_ratio()
+            "utility gain {}x, revenue ratio {}x",
+            Fixed(self.utility_gain(), 3),
+            Fixed(self.revenue_ratio(), 3)
         );
         out
     }
@@ -670,6 +769,7 @@ impl DcSim {
             mode,
             scenario: sc.name.clone(),
             records: engine.records,
+            log_hash: fnv64(engine.log.as_bytes()),
             log: engine.log,
             arrivals: engine.arrivals,
             departures: engine.departures,
@@ -737,12 +837,12 @@ impl Engine<'_> {
         }
         let _ = writeln!(
             self.log,
-            "[t={:>12}] arrive tenant={} bench={} utility={} budget={:.2} residence={}",
+            "[t={:>12}] arrive tenant={} bench={} utility={} budget={} residence={}",
             time,
             spawn.id,
             self.sim.catalog.name(spawn.bench),
             spawn.utility.name(),
-            spawn.budget,
+            Fixed(spawn.budget, 2),
             spawn.residence
         );
         self.arrivals += 1;
@@ -809,22 +909,22 @@ impl Engine<'_> {
         rec.fragmentation = stats.fragmentation.iter().sum::<f64>() / chips;
         let _ = writeln!(
             self.log,
-            "[t={:>12}] epoch {:>3} clear: tenants={} slice_price={:.4} bank_price={:.4} \
-             placed={} denied={} priced_out={} reconfig={} revenue={:.4} utility={:.4} \
-             slice_util={:.4} frag={:.4}",
+            "[t={:>12}] epoch {:>3} clear: tenants={} slice_price={} bank_price={} \
+             placed={} denied={} priced_out={} reconfig={} revenue={} utility={} \
+             slice_util={} frag={}",
             time,
             epoch,
             rec.tenants,
-            rec.slice_price,
-            rec.bank_price,
+            Fixed(rec.slice_price, 4),
+            Fixed(rec.bank_price, 4),
             rec.placed_vcores,
             rec.denied_vcores,
             rec.priced_out,
             rec.reconfig_cycles,
-            rec.revenue,
-            rec.utility,
-            rec.slice_utilization,
-            rec.fragmentation
+            Fixed(rec.revenue, 4),
+            Fixed(rec.utility, 4),
+            Fixed(rec.slice_utilization, 4),
+            Fixed(rec.fragmentation, 4)
         );
         self.observe_epoch(time, epoch, &rec);
         self.records.push(rec);
@@ -984,8 +1084,10 @@ impl Engine<'_> {
             rec.priced_out += 1;
             let _ = writeln!(
                 self.log,
-                "[t={:>12}] priced-out tenant={} budget={:.2}",
-                time, plan.tenant, t.spawn.budget
+                "[t={:>12}] priced-out tenant={} budget={}",
+                time,
+                plan.tenant,
+                Fixed(t.spawn.budget, 2)
             );
             return;
         }
@@ -1065,13 +1167,75 @@ mod tests {
         sc
     }
 
+    /// `Fixed` against `{:.N}`, byte for byte, at every precision the
+    /// writer handles and one past it, for both signs of every value:
+    /// random bit patterns over every exponent (subnormals, NaN and ±∞
+    /// included), each side of the `e = 40` fallback, exact ties
+    /// `k/2^(N+1)`, and values an ulp either side of `k/10^N` and of the
+    /// decimal midpoints `(k + ½)/10^N`.
+    #[test]
+    fn fixed_writes_the_bytes_of_the_std_formatter() {
+        let check = |x: f64, n: usize| {
+            for x in [x, -x] {
+                let want = format!("{x:.n$}");
+                let got = Fixed(x, n).to_string();
+                assert_eq!(got, want, "{x:e} to {n} places, bits {:#x}", x.to_bits());
+                assert_eq!(format!("{:>12}", Fixed(x, n)), format!("{x:>12.n$}"));
+            }
+        };
+        // Every neighbour one ulp away, within the finite non-negatives.
+        let around = |x: f64| {
+            let b = x.to_bits();
+            [b.saturating_sub(1), b, b + 1].map(f64::from_bits)
+        };
+        let bits = |e: i64, mantissa: u64| f64::from_bits(((e + 1075) as u64) << 52 | mantissa);
+        let mut rng = Rng64::seed_from_u64(27);
+        for n in 0..=POW10.len() {
+            let scale = 10f64.powi(n as i32);
+            for x in [
+                0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                5e-324,
+            ] {
+                check(x, n);
+            }
+            for _ in 0..4_000 {
+                // Any bit pattern, then any exponent up to past the fallback.
+                check(f64::from_bits(rng.next_u64()), n);
+                let mantissa = rng.next_u64() & ((1 << 52) - 1);
+                let biased = rng.below(1075 + 48);
+                check(f64::from_bits(biased << 52 | mantissa), n);
+            }
+            for e in 38..=42 {
+                for mantissa in [0, 1, (1 << 52) - 1, rng.next_u64() & ((1 << 52) - 1)] {
+                    check(bits(e, mantissa), n);
+                }
+            }
+            for _ in 0..2_000 {
+                let k = rng.below(1 << 40) | 1;
+                check(k as f64 / f64::powi(2.0, n as i32 + 1), n);
+                let bound = if rng.bool(0.5) { 1_000 } else { 1 << 50 };
+                let k = rng.below(bound);
+                for x in around(k as f64 / scale)
+                    .into_iter()
+                    .chain(around((k as f64 + 0.5) / scale))
+                {
+                    check(x, n);
+                }
+            }
+        }
+    }
+
     #[test]
     fn same_seed_is_byte_identical() {
         let sim = DcSim::new(small_scenario()).unwrap();
         for mode in [BillingMode::Sharing, BillingMode::Fixed] {
             let a = sim.run(mode, 2014);
             let b = sim.run(mode, 2014);
-            assert_eq!(a.log, b.log, "{} log must replay", mode.name());
+            assert_eq!(a.log(), b.log(), "{} log must replay", mode.name());
             assert_eq!(a.csv(), b.csv(), "{} csv must replay", mode.name());
             assert_eq!(a.log_hash(), b.log_hash());
         }
@@ -1084,7 +1248,12 @@ mod tests {
         for mode in [BillingMode::Sharing, BillingMode::Fixed] {
             let plain = sim.run(mode, 2014);
             let traced = sim.run_traced(mode, 2014, Some(&obs));
-            assert_eq!(plain.log, traced.log, "{} log must not move", mode.name());
+            assert_eq!(
+                plain.log(),
+                traced.log(),
+                "{} log must not move",
+                mode.name()
+            );
             assert_eq!(
                 plain.csv(),
                 traced.csv(),
@@ -1126,7 +1295,7 @@ mod tests {
         let sim = DcSim::new(small_scenario()).unwrap();
         let a = sim.run(BillingMode::Sharing, 1);
         let b = sim.run(BillingMode::Sharing, 2);
-        assert_ne!(a.log, b.log);
+        assert_ne!(a.log(), b.log());
     }
 
     #[test]
@@ -1143,7 +1312,7 @@ mod tests {
                 .map(str::to_string)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(tenant_lines(&c.sharing.log), tenant_lines(&c.fixed.log));
+        assert_eq!(tenant_lines(c.sharing.log()), tenant_lines(c.fixed.log()));
     }
 
     #[test]
@@ -1199,7 +1368,7 @@ mod tests {
             t.reconfig_cycles > 0,
             "a bursty market should move at least one tenant between shapes"
         );
-        assert!(out.log.contains("reconfig tenant="));
+        assert!(out.log().contains("reconfig tenant="));
         // Fixed mode never reconfigures.
         let f = sim.run(BillingMode::Fixed, 2014).totals();
         assert_eq!(f.reconfig_cycles, 0);

@@ -16,8 +16,10 @@
 //! `len` is tried at and past `MAX_TRACE_LEN`, and every capped field of
 //! a `dc` scenario at and past its cap, on the parser and on a live
 //! daemon that must go on answering `ping`; an inline profile's
-//! `threads` at and past `MAX_PROFILE_THREADS` on the parser. The stream is seeded, so a
-//! failure reproduces by its printed case number alone.
+//! `threads`, loop and region sizes at and past their caps
+//! (`MAX_PROFILE_THREADS`, `MAX_PROFILE_LOOPS`, …) on the parser. The
+//! stream is seeded, so a failure reproduces by its printed case number
+//! alone.
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
 use sharing_dc::scenario::{
@@ -32,7 +34,10 @@ use sharing_server::{
     DcJob, Envelope, ErrorCode, Job, JobWorkload, MarketJob, Request, ResultCache, RunJob, Server,
     ServerConfig, ServerError, SweepJob, PROTO_VERSION,
 };
-use sharing_trace::{Benchmark, Rng64, WorkloadProfile, MAX_PROFILE_THREADS, MAX_TRACE_LEN};
+use sharing_trace::{
+    Benchmark, Rng64, WorkloadProfile, MAX_LOOP_BODY, MAX_LOOP_ITERS, MAX_PROFILE_LOOPS,
+    MAX_PROFILE_REGIONS, MAX_PROFILE_THREADS, MAX_REGION_BYTES, MAX_TRACE_LEN,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -305,6 +310,34 @@ fn job_lengths_are_capped_at_parse() {
     }
 }
 
+/// Parses a `run` request line carrying `profile` inline: the profile
+/// back, or the refusal. Parsing only: no simulation starts.
+fn parse_inline_profile(profile: WorkloadProfile) -> Result<WorkloadProfile, ServerError> {
+    let line = Envelope {
+        id: None,
+        proto: Some(PROTO_VERSION),
+        trace: None,
+        req: Request::Job(Job::Run(RunJob {
+            workload: JobWorkload::Profile(Box::new(profile)),
+            slices: 1,
+            banks: 2,
+            len: 1_000,
+            seed: 1,
+        })),
+    }
+    .to_line();
+    match Envelope::parse(&line)? {
+        Envelope {
+            req: Request::Job(Job::Run(job)),
+            ..
+        } => match job.workload {
+            JobWorkload::Profile(p) => Ok(*p),
+            other => panic!("parsed as {other:?}"),
+        },
+        other => panic!("parsed as {other:?}"),
+    }
+}
+
 /// An inline profile's `threads` at its cap and one past it, where a
 /// worker's coherence directory would panic mid-run. Parsing only: no
 /// simulation starts.
@@ -316,31 +349,11 @@ fn inline_profile_threads_are_capped_at_parse() {
     ] {
         let mut profile = WorkloadProfile::builder("wide").build();
         profile.threads = threads;
-        let line = Envelope {
-            id: None,
-            proto: Some(PROTO_VERSION),
-            trace: None,
-            req: Request::Job(Job::Run(RunJob {
-                workload: JobWorkload::Profile(Box::new(profile)),
-                slices: 1,
-                banks: 2,
-                len: 1_000,
-                seed: 1,
-            })),
-        }
-        .to_line();
-        match Envelope::parse(&line) {
-            Ok(Envelope {
-                req: Request::Job(Job::Run(job)),
-                ..
-            }) => {
+        match parse_inline_profile(profile) {
+            Ok(p) => {
                 assert!(accepted, "{threads}");
-                let JobWorkload::Profile(p) = job.workload else {
-                    panic!("{threads}: parsed as {:?}", job.workload);
-                };
                 assert_eq!(p.threads, threads);
             }
-            Ok(other) => panic!("{threads}: parsed as {other:?}"),
             Err(e) => {
                 assert!(!accepted, "{threads}: {e:?}");
                 assert_eq!(e.code, ErrorCode::BadRequest, "{threads}");
@@ -349,6 +362,47 @@ fn inline_profile_threads_are_capped_at_parse() {
                     e.message.contains(&MAX_PROFILE_THREADS.to_string()),
                     "{e:?}"
                 );
+            }
+        }
+    }
+}
+
+/// An inline profile's loop count, loop body, loop iterations, region
+/// count and region size each at its cap and one past it, where the
+/// generator would allocate or lay out without bound. Parsing only: no
+/// simulation starts.
+#[test]
+fn inline_profile_sizes_are_capped_at_parse() {
+    let caps = [
+        ("n_loops", MAX_PROFILE_LOOPS as u64),
+        ("loop_body", MAX_LOOP_BODY as u64),
+        ("loop_iters", MAX_LOOP_ITERS as u64),
+        ("regions", MAX_PROFILE_REGIONS as u64),
+        ("bytes", MAX_REGION_BYTES),
+    ];
+    for (field, cap) in caps {
+        for (value, accepted) in [(cap, true), (cap + 1, false)] {
+            let mut profile = WorkloadProfile::builder("big").build();
+            let n = value as usize;
+            match field {
+                "n_loops" => profile.n_loops = n,
+                "loop_body" => profile.loop_body = n,
+                "loop_iters" => profile.loop_iters = n,
+                "regions" => profile.regions = vec![profile.regions[0]; n],
+                _ => profile.regions[0].bytes = value,
+            }
+            let want = profile.clone();
+            match parse_inline_profile(profile) {
+                Ok(p) => {
+                    assert!(accepted, "{field} = {value}");
+                    assert_eq!(p, want, "{field} = {value}");
+                }
+                Err(e) => {
+                    assert!(!accepted, "{field} = {value}: {e:?}");
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{field} = {value}");
+                    assert!(e.message.contains(&format!("`{field}`")), "{e:?}");
+                    assert!(e.message.contains(&cap.to_string()), "{e:?}");
+                }
             }
         }
     }

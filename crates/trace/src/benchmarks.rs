@@ -498,6 +498,38 @@ mod tests {
         }
     }
 
+    /// The size caps refuse only hostile profiles: every built-in one,
+    /// SPEC, PARSEC, gcc phase and extra, lies within each of them, so no
+    /// calibrated trace moves.
+    #[test]
+    fn built_in_profiles_lie_within_every_cap() {
+        use crate::profile::{
+            MAX_LOOP_BODY, MAX_LOOP_ITERS, MAX_PROFILE_LOOPS, MAX_PROFILE_REGIONS,
+            MAX_PROFILE_THREADS, MAX_REGION_BYTES,
+        };
+        let profiles = ALL_BENCHMARKS
+            .iter()
+            .map(|b| b.profile())
+            .chain((1..=10).map(gcc_phase_profile))
+            .chain(
+                EXTRA_PROFILES
+                    .iter()
+                    .map(|n| extra_profile(n).expect("registered")),
+            );
+        for p in profiles {
+            assert!(p.threads <= MAX_PROFILE_THREADS, "{}", p.name);
+            assert!(p.n_loops <= MAX_PROFILE_LOOPS, "{}", p.name);
+            assert!(p.loop_body <= MAX_LOOP_BODY, "{}", p.name);
+            assert!(p.loop_iters <= MAX_LOOP_ITERS, "{}", p.name);
+            assert!(p.regions.len() <= MAX_PROFILE_REGIONS, "{}", p.name);
+            assert!(
+                p.regions.iter().all(|r| r.bytes <= MAX_REGION_BYTES),
+                "{}",
+                p.name
+            );
+        }
+    }
+
     #[test]
     fn suite_partitions_into_spec_and_parsec() {
         assert_eq!(

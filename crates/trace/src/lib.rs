@@ -48,7 +48,10 @@ pub use benchmarks::{
 pub const CALIBRATION_VERSION: u32 = 5;
 pub use cache::TraceCache;
 pub use generator::ProgramGenerator;
-pub use profile::{AccessPattern, MemRegion, WorkloadProfile, MAX_PROFILE_THREADS};
+pub use profile::{
+    AccessPattern, MemRegion, WorkloadProfile, MAX_LOOP_BODY, MAX_LOOP_ITERS, MAX_PROFILE_LOOPS,
+    MAX_PROFILE_REGIONS, MAX_PROFILE_THREADS, MAX_REGION_BYTES,
+};
 pub use reuse::ReuseProfile;
 pub use rng::Rng64;
 pub use stats::TraceStats;

@@ -7,6 +7,30 @@ use sharing_json::{json_struct, FromJson, Json, JsonError, ToJson};
 /// `sharing_cache::directory::MAX_VCORES` (64) of them.
 pub const MAX_PROFILE_THREADS: usize = 64;
 
+/// The most loops a profile's static program may hold. The generator
+/// builds every loop's slots before the first instruction, `n_loops ×
+/// loop_body` of them, and each thread's walk keeps two words per slot;
+/// with [`MAX_LOOP_BODY`] that is at most 256 Ki slots.
+pub const MAX_PROFILE_LOOPS: usize = 256;
+
+/// The most instructions a profile's loop body may hold.
+pub const MAX_LOOP_BODY: usize = 1_024;
+
+/// The most iterations a profile's loop may run before the next loop
+/// starts: one loop as long as the longest trace,
+/// [`MAX_TRACE_LEN`](crate::MAX_TRACE_LEN).
+pub const MAX_LOOP_ITERS: usize = crate::MAX_TRACE_LEN;
+
+/// The most memory regions a profile may list.
+pub const MAX_PROFILE_REGIONS: usize = 64;
+
+/// The largest memory region, 4 GiB. The generator lays the regions out
+/// one after another, each padded to twice its size rounded up to a
+/// power of two, so [`MAX_PROFILE_REGIONS`] regions at this cap span
+/// 2^39 bytes: inside the 2^40-byte stride that keeps each thread's
+/// private addresses apart.
+pub const MAX_REGION_BYTES: u64 = 1 << 32;
+
 /// How a memory region is accessed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AccessPattern {
@@ -209,7 +233,10 @@ impl WorkloadProfile {
     ///
     /// Returns a description of the first violated constraint: fractions
     /// must lie in `[0, 1]`, instruction-class fractions must not exceed 1
-    /// combined, and at least one region and one chain are required.
+    /// combined, at least one region and one chain are required, and the
+    /// thread, loop and region counts and sizes must lie within their caps
+    /// ([`MAX_PROFILE_THREADS`], [`MAX_PROFILE_LOOPS`], [`MAX_LOOP_BODY`],
+    /// [`MAX_LOOP_ITERS`], [`MAX_PROFILE_REGIONS`], [`MAX_REGION_BYTES`]).
     pub fn validate(&self) -> Result<(), String> {
         let frac_fields = [
             ("mem_frac", self.mem_frac),
@@ -236,6 +263,24 @@ impl WorkloadProfile {
         if self.regions.is_empty() {
             return Err("at least one memory region required".to_string());
         }
+        let caps = [
+            ("threads", self.threads, MAX_PROFILE_THREADS),
+            ("n_loops", self.n_loops, MAX_PROFILE_LOOPS),
+            ("loop_body", self.loop_body, MAX_LOOP_BODY),
+            ("loop_iters", self.loop_iters, MAX_LOOP_ITERS),
+            ("regions", self.regions.len(), MAX_PROFILE_REGIONS),
+        ];
+        for (name, value, cap) in caps {
+            if value > cap {
+                return Err(format!("`{name}` = {value} exceeds the cap of {cap}"));
+            }
+        }
+        if let Some(r) = self.regions.iter().find(|r| r.bytes > MAX_REGION_BYTES) {
+            return Err(format!(
+                "a region's `bytes` = {} exceeds the cap of {MAX_REGION_BYTES}",
+                r.bytes
+            ));
+        }
         if self
             .regions
             .iter()
@@ -250,12 +295,6 @@ impl WorkloadProfile {
         }
         if self.threads == 0 {
             return Err("at least one thread required".to_string());
-        }
-        if self.threads > MAX_PROFILE_THREADS {
-            return Err(format!(
-                "`threads` = {} exceeds the cap of {MAX_PROFILE_THREADS}",
-                self.threads
-            ));
         }
         if self.loop_body == 0 || self.loop_iters == 0 || self.n_loops == 0 {
             return Err("loop shape parameters must be positive".to_string());

@@ -56,16 +56,23 @@ echo "== placement smoke: a dc scenario at the grid caps, fast and byte-identica
 # Two 256x256 chips under steady arrivals. Each placement walks distance
 # rings out from its Slices and stops at the banks it needs; a search
 # that sorted every free bank of the chip took about 12 s on it, on a
-# 2-vCPU host, past the timeout. The same seed must print the same bytes.
+# 2-vCPU host, past the timeout. The same seed must print the same bytes
+# and write the same epoch CSVs and non-empty event logs under --out.
 cat > "$TRACE_TMP/grid_cap.json" <<'EOF'
 {"name":"grid-cap","chips":2,"rows":256,"cols":256,"placement":"worst-fit","epochs":48,
  "arrivals":{"base_rate":8,"burst_rate":8,"mean_residence":10}}
 EOF
 for run in a b; do
   timeout 10 "$SSIM" dc --scenario "$TRACE_TMP/grid_cap.json" --seed 7 \
-    > "$TRACE_TMP/grid_cap_$run.txt"
+    --out "$TRACE_TMP/dc_$run" > "$TRACE_TMP/grid_cap_$run.txt"
 done
-diff "$TRACE_TMP/grid_cap_a.txt" "$TRACE_TMP/grid_cap_b.txt"
+diff <(grep -v '^wrote ' "$TRACE_TMP/grid_cap_a.txt") \
+  <(grep -v '^wrote ' "$TRACE_TMP/grid_cap_b.txt")
+diff -r "$TRACE_TMP/dc_a" "$TRACE_TMP/dc_b"
+for mode in sharing fixed; do
+  test -s "$TRACE_TMP/dc_a/grid-cap-$mode.log"
+  test -s "$TRACE_TMP/dc_a/grid-cap-$mode.csv"
+done
 
 echo "== profile smoke: cycle attribution conserves and is byte-identical =="
 "$SSIM" profile --benchmark gcc --slices 2 --len 2000 --seed 9 > "$TRACE_TMP/prof_a.txt"
