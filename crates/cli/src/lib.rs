@@ -906,8 +906,12 @@ fn run_workload(
     if let Workload::AsmFile(path) = workload {
         return run_asm(path, cfg, len, obs);
     }
+    let workload = trace_workload(workload)?;
+    if let sharing_trace::Workload::Profile(p) = &workload {
+        TraceSpec::check_job(p.threads, len).map_err(CliError::BadProfile)?;
+    }
     sharing_core::run_workload(
-        &trace_workload(workload)?,
+        &workload,
         cfg,
         &TraceSpec::new(len, seed),
         TraceCache::global(),
@@ -2981,6 +2985,34 @@ mod profile_tests {
             .unwrap();
         handle.stop();
         assert_eq!(reply.get("result"), Some(&local), "{reply}");
+    }
+
+    /// 64 threads one instruction past their share of
+    /// `MAX_JOB_INSTRUCTIONS` are refused before any trace is built.
+    #[test]
+    fn run_refuses_a_profile_past_the_job_instruction_cap() {
+        let mut profile = WorkloadProfile::builder("wide").build();
+        profile.threads = sharing_trace::MAX_PROFILE_THREADS;
+        let len = sharing_trace::MAX_JOB_INSTRUCTIONS / profile.threads + 1;
+        let path = std::env::temp_dir().join(format!(
+            "ssim-test-wide-profile-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, sharing_json::to_string(&profile)).unwrap();
+        let cmd = parse(&s(&[
+            "run",
+            "--profile",
+            path.to_str().unwrap(),
+            "--len",
+            &len.to_string(),
+        ]))
+        .unwrap();
+        let err = execute(&cmd).expect_err("past the job cap");
+        let _ = std::fs::remove_file(path);
+        match err {
+            CliError::BadProfile(e) => assert!(e.contains("MAX_JOB_INSTRUCTIONS"), "{e}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -26,6 +26,10 @@ pub const MAX_EPOCHS: usize = 10_000;
 pub const MAX_ARRIVAL_RATE: f64 = 100.0;
 /// Most VCores one tenant may hold.
 pub const MAX_TENANT_VCORES: usize = 1_024;
+/// Most names `tenants.benchmarks` may list, duplicates included: a
+/// catalog builds one surface and one table per utility for each. The
+/// suite has 15 benchmarks.
+pub const MAX_TENANT_BENCHMARKS: usize = 64;
 /// Most tâtonnement iterations per clearing.
 pub const MAX_AUCTION_ITERATIONS: usize = 10_000;
 /// Most auction work one run may ask for, in bidder price steps:
@@ -461,8 +465,10 @@ impl Scenario {
         if !(1..=MAX_TENANT_VCORES).contains(&t.max_vcores) {
             return Err(format!("`max_vcores` must be in 1..={MAX_TENANT_VCORES}"));
         }
-        if t.benchmark_names().is_empty() {
-            return Err("tenant benchmark pool is empty".to_string());
+        if t.benchmarks.len() > MAX_TENANT_BENCHMARKS {
+            return Err(format!(
+                "`benchmarks` may list at most {MAX_TENANT_BENCHMARKS} names"
+            ));
         }
         match self.surfaces.source.as_str() {
             "synthetic" => {}
@@ -566,6 +572,10 @@ mod tests {
             ("tariff", Box::new(|s| s.fixed_tariff.slice_price = 0.0)),
             ("auction", Box::new(|s| s.auction.tolerance = 0.0)),
             (
+                "benchmarks",
+                Box::new(|s| s.tenants.benchmarks = vec!["gcc".into(); MAX_TENANT_BENCHMARKS + 1]),
+            ),
+            (
                 "work",
                 Box::new(|s| {
                     s.epochs = MAX_EPOCHS;
@@ -596,6 +606,15 @@ mod tests {
         assert!(sc.validate().is_err());
         sc.tenants.benchmarks = vec!["gcc".to_string(), "mcf".to_string()];
         sc.validate().unwrap();
+    }
+
+    #[test]
+    fn benchmark_list_is_capped_duplicates_included() {
+        let mut sc = Scenario::example_bursty();
+        sc.tenants.benchmarks = vec!["gcc".into(); MAX_TENANT_BENCHMARKS];
+        sc.validate().unwrap();
+        sc.tenants.benchmarks.push("mcf".into());
+        assert!(sc.validate().unwrap_err().contains("benchmarks"));
     }
 
     #[test]

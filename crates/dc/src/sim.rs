@@ -13,10 +13,13 @@
 //!
 //! Per-config performance comes from a [`SurfaceCatalog`] built once up
 //! front — calibrated `sharing-core` sweeps or synthetic surfaces — so
-//! the event loop never blocks on cycle-level simulation.
+//! the event loop never blocks on cycle-level simulation. Catalogs are
+//! memoized per surface spec, so a scenario run again in the same
+//! process reuses the one it built before.
 
 use crate::events::{EventKind, EventQueue, TenantSpawn};
 use crate::scenario::Scenario;
+use sharing_core::par;
 use sharing_core::{ReconfigCosts, VCoreShape};
 use sharing_hv::billing::{Ledger, Tariff};
 use sharing_hv::cloud::{Cloud, CloudLease};
@@ -26,9 +29,10 @@ use sharing_market::utility::{UtilityFn, ALL_UTILITIES};
 use sharing_market::{ExperimentSpec, Market, PerfSurface, SuiteSurfaces};
 use sharing_trace::rng::Rng64;
 use sharing_trace::Benchmark;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// FNV-1a over bytes; used for synthetic surface shaping and log hashing.
 #[must_use]
@@ -129,6 +133,24 @@ impl fmt::Display for Fixed {
             Some(at) => f.pad(std::str::from_utf8(&buf[at..]).expect("ASCII digits")),
             None => f.pad(&format!("{:.*}", self.1, self.0)),
         }
+    }
+}
+
+/// A shape written as its `Display` writes it (`4s/256KB`), without a
+/// nested `write!`.
+struct Shape(VCoreShape);
+
+impl fmt::Display for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Two `u64`s of at most 20 digits each, plus `s/` and `KB`.
+        let mut buf = [0u8; 44];
+        let mut at = buf.len() - 2;
+        buf[at..].copy_from_slice(b"KB");
+        at = put_digits(&mut buf, at, self.0.l2_kb(), 1);
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(b"s/");
+        at = put_digits(&mut buf, at, self.0.slices as u64, 1);
+        f.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
     }
 }
 
@@ -244,6 +266,78 @@ impl SurfaceCatalog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// Everything [`SurfaceCatalog::build`] reads from a scenario: two
+/// scenarios with equal keys get equal catalogs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct CatalogKey {
+    source: String,
+    names: Vec<String>,
+    /// `(trace_len, sweep_seed)` for calibrated surfaces; synthetic
+    /// ones read neither.
+    sweep: Option<(usize, u64)>,
+}
+
+impl CatalogKey {
+    fn of(sc: &Scenario) -> Self {
+        let s = &sc.surfaces;
+        CatalogKey {
+            source: s.source.clone(),
+            names: sc.tenants.benchmark_names(),
+            sweep: (s.source == "calibrated").then_some((s.trace_len, s.sweep_seed)),
+        }
+    }
+}
+
+/// Most catalogs [`CATALOGS`] holds.
+const CATALOG_MEMO_CAP: usize = 8;
+
+/// Catalogs already built, oldest first, at most `cap` of them.
+struct CatalogMemo {
+    cap: usize,
+    held: Mutex<VecDeque<(CatalogKey, Arc<SurfaceCatalog>)>>,
+}
+
+/// The process-wide memo [`DcSim::new`] takes its catalogs from: every
+/// run of a repeated scenario after the first skips the build.
+static CATALOGS: CatalogMemo = CatalogMemo::new(CATALOG_MEMO_CAP);
+
+impl CatalogMemo {
+    const fn new(cap: usize) -> Self {
+        CatalogMemo {
+            cap,
+            held: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    fn lookup(&self, key: &CatalogKey) -> Option<Arc<SurfaceCatalog>> {
+        let held = self.held.lock().expect("catalog memo lock");
+        held.iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, c)| Arc::clone(c))
+    }
+
+    /// The scenario's catalog, built outside the lock on a miss. A
+    /// failed build is returned and not kept; past `cap` catalogs the
+    /// oldest goes.
+    fn get(&self, sc: &Scenario) -> Result<Arc<SurfaceCatalog>, String> {
+        let key = CatalogKey::of(sc);
+        if let Some(hit) = self.lookup(&key) {
+            return Ok(hit);
+        }
+        let built = Arc::new(SurfaceCatalog::build(sc)?);
+        let mut held = self.held.lock().expect("catalog memo lock");
+        // Another thread may have built the same catalog meanwhile.
+        if let Some((_, c)) = held.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(c));
+        }
+        if held.len() == self.cap {
+            held.pop_front();
+        }
+        held.push_back((key, Arc::clone(&built)));
+        Ok(built)
     }
 }
 
@@ -623,19 +717,21 @@ fn geometric(rng: &mut Rng64, mean: f64, cap: usize) -> usize {
 #[derive(Clone, Debug)]
 pub struct DcSim {
     scenario: Scenario,
-    catalog: SurfaceCatalog,
+    catalog: Arc<SurfaceCatalog>,
 }
 
 impl DcSim {
     /// Validates the scenario and resolves its performance surfaces
-    /// (calibrated sweeps run here, once, not inside the event loop).
+    /// (calibrated sweeps run here, once, not inside the event loop). A
+    /// scenario whose surface spec the process has built recently shares
+    /// that catalog.
     ///
     /// # Errors
     ///
     /// Returns the first validation or catalog problem.
     pub fn new(scenario: Scenario) -> Result<Self, String> {
         scenario.validate()?;
-        let catalog = SurfaceCatalog::build(&scenario)?;
+        let catalog = CATALOGS.get(&scenario)?;
         let fixed = scenario.fixed_instance.to_shape()?;
         for i in 0..catalog.len() {
             if catalog.surface(i).get(fixed).is_none() {
@@ -785,16 +881,41 @@ impl DcSim {
 
     /// [`DcSim::run_comparison`] with optional tracing; each mode's
     /// spans land on its own track pair (see [`DcSim::run_traced`]).
+    ///
+    /// The two modes share nothing but the scenario and catalog, so on a
+    /// host with a second CPU the fixed mode runs on a scoped thread
+    /// beside the sharing mode. Each records into a buffer of its own,
+    /// and the sharing mode's spans are appended to `obs` before the
+    /// fixed mode's, the order a run of one after the other leaves.
     #[must_use]
     pub fn run_comparison_traced(
         &self,
         seed: u64,
         obs: Option<&sharing_obs::TraceBuffer>,
     ) -> Comparison {
-        Comparison {
-            sharing: self.run_traced(BillingMode::Sharing, seed, obs),
-            fixed: self.run_traced(BillingMode::Fixed, seed, obs),
+        static WORKERS: OnceLock<usize> = OnceLock::new();
+        let traced = |mode| {
+            let buf = obs.map(|_| sharing_obs::TraceBuffer::new());
+            (self.run_traced(mode, seed, buf.as_ref()), buf)
+        };
+        let ((sharing, sharing_spans), (fixed, fixed_spans)) =
+            if *WORKERS.get_or_init(|| par::resolve_jobs(None).min(2)) == 2 {
+                std::thread::scope(|s| {
+                    let fixed = s.spawn(|| traced(BillingMode::Fixed));
+                    let sharing = traced(BillingMode::Sharing);
+                    (sharing, fixed.join().unwrap_or_else(|p| resume_unwind(p)))
+                })
+            } else {
+                (traced(BillingMode::Sharing), traced(BillingMode::Fixed))
+            };
+        if let Some(obs) = obs {
+            for buf in [sharing_spans, fixed_spans].into_iter().flatten() {
+                for ev in buf.snapshot() {
+                    obs.record(ev);
+                }
+            }
         }
+        Comparison { sharing, fixed }
     }
 }
 
@@ -1111,7 +1232,11 @@ impl Engine<'_> {
                     let _ = writeln!(
                         self.log,
                         "[t={:>12}] reconfig tenant={} {} -> {} cost={}",
-                        time, plan.tenant, old, plan.shape, reconfig
+                        time,
+                        plan.tenant,
+                        Shape(old),
+                        Shape(plan.shape),
+                        reconfig
                     );
                 }
             }
@@ -1132,7 +1257,11 @@ impl Engine<'_> {
             let _ = writeln!(
                 self.log,
                 "[t={:>12}] deny tenant={} shape={} placed={} of {}",
-                time, plan.tenant, plan.shape, placed, plan.want
+                time,
+                plan.tenant,
+                Shape(plan.shape),
+                placed,
+                plan.want
             );
         }
         rec.placed_vcores += placed;
@@ -1288,6 +1417,134 @@ mod tests {
         // The trace exports as valid Chrome trace JSON.
         let json = sharing_json::Json::parse(&obs.to_chrome_json()).unwrap();
         assert!(json.get("traceEvents").and_then(|t| t.as_arr()).is_some());
+    }
+
+    /// Scenarios the side-by-side tests sweep: the small fleet, the
+    /// bursty reference scenario cut short, and the small fleet under
+    /// worst-fit with three workloads.
+    fn seeded_scenarios() -> Vec<Scenario> {
+        let mut bursty = Scenario::example_bursty();
+        bursty.epochs = 24;
+        let mut worst = small_scenario();
+        worst.placement = "worst-fit".into();
+        worst.tenants.benchmarks = vec!["gcc".into(), "mcf".into(), "swaptions".into()];
+        vec![small_scenario(), bursty, worst]
+    }
+
+    #[test]
+    fn comparison_matches_each_mode_run_alone() {
+        for sc in seeded_scenarios() {
+            let sim = DcSim::new(sc).unwrap();
+            for seed in [1, 7, 2014, 0xDEAD_BEEF] {
+                let c = sim.run_comparison(seed);
+                for (pair, mode) in [
+                    (&c.sharing, BillingMode::Sharing),
+                    (&c.fixed, BillingMode::Fixed),
+                ] {
+                    let alone = sim.run(mode, seed);
+                    let what = format!("{} {} seed {seed}", sim.scenario().name, mode.name());
+                    assert_eq!(pair.mode, mode, "{what}");
+                    assert_eq!(pair.totals(), alone.totals(), "{what}");
+                    assert_eq!(pair.csv(), alone.csv(), "{what}");
+                    assert_eq!(pair.log(), alone.log(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn traced_comparison_keeps_the_sequential_span_order() {
+        for sc in seeded_scenarios() {
+            let sim = DcSim::new(sc).unwrap();
+            let side_by_side = sharing_obs::TraceBuffer::new();
+            let _ = sim.run_comparison_traced(42, Some(&side_by_side));
+            let one_then_other = sharing_obs::TraceBuffer::new();
+            let _ = sim.run_traced(BillingMode::Sharing, 42, Some(&one_then_other));
+            let _ = sim.run_traced(BillingMode::Fixed, 42, Some(&one_then_other));
+            assert!(!side_by_side.is_empty());
+            assert_eq!(
+                side_by_side.to_chrome_json(),
+                one_then_other.to_chrome_json(),
+                "{}",
+                sim.scenario().name
+            );
+        }
+    }
+
+    #[test]
+    fn one_surface_spec_shares_one_catalog() {
+        let a = DcSim::new(small_scenario()).unwrap();
+        let mut other = Scenario::example_bursty();
+        other.name = "another-name".into();
+        other.chips = 3;
+        let b = DcSim::new(other).unwrap();
+        assert!(Arc::ptr_eq(&a.catalog, &b.catalog));
+    }
+
+    /// A synthetic scenario whose catalog is keyed by `names`.
+    fn with_names(names: &[&str]) -> Scenario {
+        let mut sc = small_scenario();
+        sc.tenants.benchmarks = names.iter().map(|n| (*n).to_string()).collect();
+        sc
+    }
+
+    #[test]
+    fn another_name_list_misses_the_memo() {
+        let memo = CatalogMemo::new(CATALOG_MEMO_CAP);
+        let ab = memo.get(&with_names(&["gcc", "mcf"])).unwrap();
+        assert!(Arc::ptr_eq(
+            &ab,
+            &memo.get(&with_names(&["gcc", "mcf"])).unwrap()
+        ));
+        for names in [&["mcf", "gcc"][..], &["gcc"], &["gcc", "mcf", "gcc"]] {
+            let other = memo.get(&with_names(names)).unwrap();
+            assert!(!Arc::ptr_eq(&ab, &other), "{names:?}");
+            assert_eq!(other.len(), names.len());
+        }
+        // Synthetic surfaces read neither calibration field.
+        let mut sc = with_names(&["gcc", "mcf"]);
+        sc.surfaces.trace_len += 1;
+        sc.surfaces.sweep_seed += 1;
+        assert!(Arc::ptr_eq(&ab, &memo.get(&sc).unwrap()));
+        assert_eq!(memo.held.lock().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_its_bound_oldest_out_first() {
+        let memo = CatalogMemo::new(CATALOG_MEMO_CAP);
+        let names: Vec<String> = (0..CATALOG_MEMO_CAP + 3).map(|i| format!("w{i}")).collect();
+        let built: Vec<_> = names
+            .iter()
+            .map(|n| memo.get(&with_names(&[n])).unwrap())
+            .collect();
+        assert_eq!(memo.held.lock().unwrap().len(), CATALOG_MEMO_CAP);
+        let newest = memo.get(&with_names(&[&names[names.len() - 1]])).unwrap();
+        assert!(Arc::ptr_eq(&built[built.len() - 1], &newest));
+        let oldest = memo.get(&with_names(&[&names[0]])).unwrap();
+        assert!(!Arc::ptr_eq(&built[0], &oldest), "the oldest was dropped");
+        assert_eq!(memo.held.lock().unwrap().len(), CATALOG_MEMO_CAP);
+    }
+
+    #[test]
+    fn a_refused_scenario_leaves_nothing_behind() {
+        let mut sc = with_names(&["refused-scenario-only"]);
+        sc.chips = 0;
+        assert!(DcSim::new(sc.clone()).is_err());
+        assert!(CATALOGS.lookup(&CatalogKey::of(&sc)).is_none());
+        // A build that fails is not kept either.
+        let memo = CatalogMemo::new(CATALOG_MEMO_CAP);
+        sc.surfaces.source = "oracle".into();
+        assert!(memo.get(&sc).is_err());
+        assert!(memo.held.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn reconfig_and_deny_lines_write_shapes_as_display_does() {
+        let shapes =
+            (1..=8).flat_map(|s| (0..=128).filter_map(move |b| VCoreShape::new(s, b).ok()));
+        for shape in shapes {
+            assert_eq!(Shape(shape).to_string(), shape.to_string());
+        }
     }
 
     #[test]

@@ -41,6 +41,9 @@ use std::sync::Arc;
 pub struct UtilityTable {
     grid: Arc<[VCoreShape]>,
     pk: Vec<f64>,
+    /// The rows a price step scans, in row order: every row but those
+    /// another row beats by [`CONTENDER_MARGIN`] at every price.
+    contenders: Vec<usize>,
 }
 
 impl UtilityTable {
@@ -58,11 +61,48 @@ impl UtilityTable {
             "surface `{}` is not laid out on the grid",
             surface.name()
         );
+        let pk: Vec<f64> = surface.iter().map(|(_, p)| utility.perf_power(p)).collect();
         UtilityTable {
             grid: Arc::clone(grid),
-            pk: surface.iter().map(|(_, p)| utility.perf_power(p)).collect(),
+            contenders: contenders(grid, &pk),
+            pk,
         }
     }
+}
+
+/// The rows of `pk` that no other row beats by [`CONTENDER_MARGIN`] at
+/// every price, in row order.
+///
+/// Only the ratio `ρ` of the bank price to the Slice price moves the
+/// order of the rows' `P^k / cost`. Row `j` beats row `k` by the margin
+/// where `(1 − margin) P^j (s_k + ρ b_k) − P^k (s_j + ρ b_j) = a + b ρ`
+/// is positive: at every `ρ ≥ 0`, below `−a / b`, or above it. A row is
+/// left out only when those sets cover every `ρ ≥ 0`. A NaN fails every
+/// comparison, so it leaves a row in.
+fn contenders(grid: &[VCoreShape], pk: &[f64]) -> Vec<usize> {
+    let keep = 1.0 - CONTENDER_MARGIN;
+    let size = |k: usize| (grid[k].slices as f64, grid[k].l2_banks as f64);
+    (0..pk.len())
+        .filter(|&k| {
+            let (sk, bk) = size(k);
+            // Beaten on `[0, below)` and on `(above, ∞)`.
+            let mut below = 0.0f64;
+            let mut above = f64::INFINITY;
+            for (j, &pj) in pk.iter().enumerate() {
+                let (sj, bj) = size(j);
+                let a = keep * pj * sk - pk[k] * sj;
+                let b = keep * pj * bk - pk[k] * bj;
+                if a > 0.0 && b >= 0.0 {
+                    return false;
+                } else if a > 0.0 && b < 0.0 {
+                    below = below.max(a / -b);
+                } else if b > 0.0 && a <= 0.0 {
+                    above = above.min(-a / b);
+                }
+            }
+            below <= above
+        })
+        .collect()
 }
 
 /// A customer participating in the auction.
@@ -207,6 +247,10 @@ impl Auction {
 /// Relative width of a table's candidate band below its best
 /// `P^k / cost`; see [`TableScan::scan`] for why it is exact.
 const CANDIDATE_MARGIN: f64 = 1e-9;
+/// How far below another row's `P^k / cost`, at every price, a row
+/// must lie to be left out of a table's scan: a thousand times the
+/// candidate band, so rounding cannot carry a left-out row into it.
+const CONTENDER_MARGIN: f64 = 1e-6;
 /// Range of a table's best `P^k / cost` inside which the band applies.
 const TAME_Q: std::ops::RangeInclusive<f64> = 1e-270..=1e270;
 /// Range of budgets the band applies to.
@@ -233,6 +277,10 @@ struct GridCosts<'a> {
 struct TableScan<'a> {
     grid: usize,
     pk: &'a [f64],
+    /// The table's contenders, the only rows the band can hold.
+    rows: &'a [usize],
+    /// Each contender's `q_k` at the current prices.
+    q: Vec<f64>,
     candidates: Vec<usize>,
 }
 
@@ -270,6 +318,8 @@ impl<'a> Book<'a> {
                 book.tables.push(TableScan {
                     grid,
                     pk: &b.table.pk,
+                    rows: &b.table.contenders,
+                    q: Vec::with_capacity(b.table.contenders.len()),
                     candidates: Vec::with_capacity(shapes.len()),
                 });
                 book.tables.len() - 1
@@ -349,14 +399,45 @@ impl TableScan<'_> {
     /// underflows has `B · r_k` below `1e-289`, under `u*` again. So the
     /// last of the bidder's best rows in row order is always a candidate,
     /// and scanning candidates alone, in row order, picks it.
+    ///
+    /// Only the contenders are scanned. A row left out lies
+    /// [`CONTENDER_MARGIN`] below some row at these prices, and that row
+    /// is a contender or lies below one in turn, so the best row is a
+    /// contender, `q_max` is the one a scan of every row finds, and no
+    /// row left out reaches the band.
+    ///
+    /// Each `q_k` is computed once, and its maximum is folded over four
+    /// lanes, which the compiler can vectorize. The order does not move
+    /// the result: `>` orders every `q_k` but a NaN, and a NaN, which
+    /// fails every `>`, is passed over as `f64::max` passes it over. Only
+    /// the sign of a zero maximum could differ, and zero lies outside
+    /// [`TAME_Q`] either way.
     fn scan(&mut self, inv: &[f64]) {
-        let q = |k: usize| self.pk[k] * inv[k];
-        let q_max = (0..self.pk.len()).map(q).fold(f64::NEG_INFINITY, f64::max);
+        self.q.clear();
+        self.q
+            .extend(self.rows.iter().map(|&k| self.pk[k] * inv[k]));
+        let mut lanes = [f64::NEG_INFINITY; 4];
+        let mut quads = self.q.chunks_exact(4);
+        for quad in &mut quads {
+            for (m, &q) in lanes.iter_mut().zip(quad) {
+                *m = if q > *m { q } else { *m };
+            }
+        }
+        let q_max = quads
+            .remainder()
+            .iter()
+            .chain(&lanes)
+            .fold(f64::NEG_INFINITY, |m, &q| if q > m { q } else { m });
         self.candidates.clear();
         if TAME_Q.contains(&q_max) {
             let floor = q_max - q_max * CANDIDATE_MARGIN;
-            self.candidates
-                .extend((0..self.pk.len()).filter(|&k| q(k) >= floor));
+            self.candidates.extend(
+                self.rows
+                    .iter()
+                    .zip(&self.q)
+                    .filter(|&(_, &q)| q >= floor)
+                    .map(|(&k, _)| k),
+            );
         } else {
             self.candidates.extend(0..self.pk.len());
         }
@@ -547,6 +628,44 @@ mod tests {
             (1e-3, 1e6),
         ];
         assert_matches_best_utility(&cases, &prices);
+    }
+
+    /// On smooth surfaces the scan leaves most rows out, and every row
+    /// the band holds at some price, found by brute force over prices
+    /// across the clamp range, is a contender.
+    #[test]
+    fn contenders_hold_every_row_the_band_can_reach() {
+        let grid = grid();
+        let mut rng = Rng64::seed_from_u64(0xC0_7E4D);
+        for round in 0..24 {
+            let utility = ALL_UTILITIES[round % 3];
+            let s = surface(0.1 + 2.0 * rng.f64(), 0.1 + 3.0 * rng.f64());
+            let table = UtilityTable::new(&grid, &s, utility);
+            assert!(
+                table.contenders.len() < grid.len() / 2,
+                "{} of {} rows kept",
+                table.contenders.len(),
+                grid.len()
+            );
+            for _ in 0..500 {
+                let market = Market {
+                    name: "probe",
+                    slice_price: log_uniform(&mut rng, 1e-3, 1e6),
+                    bank_price: log_uniform(&mut rng, 1e-3, 1e6),
+                };
+                let q: Vec<f64> = grid
+                    .iter()
+                    .zip(&table.pk)
+                    .map(|(&shape, p)| p / market.vcore_cost(shape))
+                    .collect();
+                let best = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                for (k, &qk) in q.iter().enumerate() {
+                    if qk >= best * (1.0 - CANDIDATE_MARGIN) {
+                        assert!(table.contenders.contains(&k), "row {k} at {market:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// A log-uniform draw from `[lo, hi]`.

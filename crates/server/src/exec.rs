@@ -5,7 +5,7 @@
 
 use crate::protocol::{DcJob, RunJob};
 use sharing_core::{run_workload, SimConfig, SimResult};
-use sharing_dc::DcSim;
+use sharing_dc::{BillingMode, DcSim};
 use sharing_json::{Json, ToJson};
 use sharing_trace::{TraceCache, TraceSpec};
 
@@ -30,6 +30,11 @@ pub fn simulate(job: &RunJob) -> Result<SimResult, String> {
 /// `Totals` object per mode run, under `"sharing"` / `"fixed"` keys,
 /// plus the scenario name and seed.
 ///
+/// Both modes run on the calling worker, one after the other, not side
+/// by side as [`DcSim::run_comparison`] runs them: the daemon already
+/// keeps a worker per CPU busy, and a second thread per `dc` job only
+/// contends with the other workers. The totals are the same bytes.
+///
 /// # Errors
 ///
 /// Returns the scenario validation message; simulation itself is total.
@@ -45,9 +50,9 @@ pub fn run_dc(job: &DcJob) -> Result<String, String> {
             pairs.push((mode.name(), totals.to_json()));
         }
         None => {
-            let cmp = sim.run_comparison(job.seed);
-            pairs.push(("sharing", cmp.sharing.totals().to_json()));
-            pairs.push(("fixed", cmp.fixed.totals().to_json()));
+            for mode in [BillingMode::Sharing, BillingMode::Fixed] {
+                pairs.push((mode.name(), sim.run(mode, job.seed).totals().to_json()));
+            }
         }
     }
     Ok(Json::obj(pairs).to_string())

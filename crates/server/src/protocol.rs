@@ -33,7 +33,9 @@
 //! ```
 //!
 //! A `len` outside 1..=[`MAX_TRACE_LEN`](sharing_trace::MAX_TRACE_LEN)
-//! is refused with `bad_request` before any trace is generated.
+//! is refused with `bad_request` before any trace is generated, and so
+//! is a `run` job whose profile's `threads × len` passes
+//! [`MAX_JOB_INSTRUCTIONS`](sharing_trace::MAX_JOB_INSTRUCTIONS).
 //!
 //! Error replies are structured: `{"ok":false,"code":"queue_full",
 //! "error":"..."}` — assert on [`ErrorCode`]s, not message substrings.
@@ -494,11 +496,16 @@ impl Envelope {
                 } else {
                     parse_run_workload(v)?
                 };
+                let len = len_field(v, 60_000)?;
+                // A built-in workload lies within the cap at any `len`.
+                if let JobWorkload::Profile(p) = &workload {
+                    TraceSpec::check_job(p.threads, len).map_err(JsonError)?;
+                }
                 Request::Job(Job::Run(RunJob {
                     workload,
                     slices: num_field(v, "slices", 1usize)?,
                     banks: num_field(v, "banks", 2usize)?,
-                    len: len_field(v, 60_000)?,
+                    len,
                     seed: num_field(v, "seed", 0xA5_2014u64)?,
                 }))
             }

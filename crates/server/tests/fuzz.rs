@@ -17,14 +17,15 @@
 //! a `dc` scenario at and past its cap, on the parser and on a live
 //! daemon that must go on answering `ping`; an inline profile's
 //! `threads`, loop and region sizes at and past their caps
-//! (`MAX_PROFILE_THREADS`, `MAX_PROFILE_LOOPS`, …) on the parser. The
+//! (`MAX_PROFILE_THREADS`, `MAX_PROFILE_LOOPS`, …), and its job's
+//! `threads × len` at and past `MAX_JOB_INSTRUCTIONS`, on the parser. The
 //! stream is seeded, so a failure reproduces by its printed case number
 //! alone.
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
 use sharing_dc::scenario::{
     MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_CHIPS, MAX_COLS, MAX_DC_WORK, MAX_EPOCHS,
-    MAX_ROWS, MAX_TENANT_VCORES,
+    MAX_ROWS, MAX_TENANT_BENCHMARKS, MAX_TENANT_VCORES,
 };
 use sharing_dc::Scenario;
 use sharing_http::{HttpError, Limits, RequestParser};
@@ -35,8 +36,8 @@ use sharing_server::{
     ServerConfig, ServerError, SweepJob, PROTO_VERSION,
 };
 use sharing_trace::{
-    Benchmark, Rng64, WorkloadProfile, MAX_LOOP_BODY, MAX_LOOP_ITERS, MAX_PROFILE_LOOPS,
-    MAX_PROFILE_REGIONS, MAX_PROFILE_THREADS, MAX_REGION_BYTES, MAX_TRACE_LEN,
+    Benchmark, Rng64, WorkloadProfile, MAX_JOB_INSTRUCTIONS, MAX_LOOP_BODY, MAX_LOOP_ITERS,
+    MAX_PROFILE_LOOPS, MAX_PROFILE_REGIONS, MAX_PROFILE_THREADS, MAX_REGION_BYTES, MAX_TRACE_LEN,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -310,9 +311,9 @@ fn job_lengths_are_capped_at_parse() {
     }
 }
 
-/// Parses a `run` request line carrying `profile` inline: the profile
-/// back, or the refusal. Parsing only: no simulation starts.
-fn parse_inline_profile(profile: WorkloadProfile) -> Result<WorkloadProfile, ServerError> {
+/// Parses a `run` request line carrying `profile` inline at `len`: the
+/// job back, or the refusal. Parsing only: no simulation starts.
+fn parse_inline_run(profile: WorkloadProfile, len: usize) -> Result<RunJob, ServerError> {
     let line = Envelope {
         id: None,
         proto: Some(PROTO_VERSION),
@@ -321,7 +322,7 @@ fn parse_inline_profile(profile: WorkloadProfile) -> Result<WorkloadProfile, Ser
             workload: JobWorkload::Profile(Box::new(profile)),
             slices: 1,
             banks: 2,
-            len: 1_000,
+            len,
             seed: 1,
         })),
     }
@@ -330,11 +331,47 @@ fn parse_inline_profile(profile: WorkloadProfile) -> Result<WorkloadProfile, Ser
         Envelope {
             req: Request::Job(Job::Run(job)),
             ..
-        } => match job.workload {
-            JobWorkload::Profile(p) => Ok(*p),
-            other => panic!("parsed as {other:?}"),
-        },
+        } => Ok(job),
         other => panic!("parsed as {other:?}"),
+    }
+}
+
+/// [`parse_inline_run`] at a short `len`, for the profile alone.
+fn parse_inline_profile(profile: WorkloadProfile) -> Result<WorkloadProfile, ServerError> {
+    match parse_inline_run(profile, 1_000)?.workload {
+        JobWorkload::Profile(p) => Ok(*p),
+        other => panic!("parsed as {other:?}"),
+    }
+}
+
+/// A profile job's `threads × len` at the largest built-in job, a
+/// four-thread VM at `MAX_TRACE_LEN`, and 64 threads one instruction
+/// past their share of `MAX_JOB_INSTRUCTIONS`, where the generator would
+/// build gigabytes before the run. Parsing only: no simulation starts.
+#[test]
+fn run_job_instructions_are_capped_at_parse() {
+    let per_thread = MAX_JOB_INSTRUCTIONS / MAX_PROFILE_THREADS + 1;
+    for (threads, len, accepted) in [
+        (4, MAX_TRACE_LEN, true),
+        (MAX_PROFILE_THREADS, per_thread, false),
+    ] {
+        let mut profile = WorkloadProfile::builder("wide").build();
+        profile.threads = threads;
+        match parse_inline_run(profile, len) {
+            Ok(job) => {
+                assert!(accepted, "{threads} × {len}");
+                assert_eq!(job.len, len);
+            }
+            Err(e) => {
+                assert!(!accepted, "{threads} × {len}: {e:?}");
+                assert_eq!(e.code, ErrorCode::BadRequest, "{threads} × {len}");
+                assert!(e.message.contains("MAX_JOB_INSTRUCTIONS"), "{e:?}");
+                assert!(
+                    e.message.contains(&MAX_JOB_INSTRUCTIONS.to_string()),
+                    "{e:?}"
+                );
+            }
+        }
     }
 }
 
@@ -430,9 +467,9 @@ fn dc_line(path: &str, value: &str) -> String {
 }
 
 /// Every capped scenario field at cap − 1, at its cap, past it and at
-/// ∞ (`1e999` parses to infinity), as `(path, value, accepted, cap)`;
-/// `cap` is what a refusal must name, when the value is of the field's
-/// type.
+/// ∞ (`1e999` parses to infinity), and the tenant benchmark list at its
+/// cap and one name past it, as `(path, value, accepted, cap)`; `cap` is
+/// what a refusal must name, when the value is of the field's type.
 fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
     let mut out = Vec::new();
     let ints = [
@@ -459,6 +496,21 @@ fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
         out.push((path, format!("{:?}", cap + 1.0), false, named.clone()));
         out.push((path, "1e999".to_string(), false, named));
     }
+    // The list is capped in names, duplicates included.
+    let names = |n: usize| format!("[{}]", vec!["\"gcc\""; n].join(","));
+    let named = Some(MAX_TENANT_BENCHMARKS.to_string());
+    out.push((
+        "tenants.benchmarks",
+        names(MAX_TENANT_BENCHMARKS),
+        true,
+        None,
+    ));
+    out.push((
+        "tenants.benchmarks",
+        names(MAX_TENANT_BENCHMARKS + 1),
+        false,
+        named,
+    ));
     // Residence has no cap, only finiteness.
     out.push(("arrivals.mean_residence", "1e300".to_string(), true, None));
     out.push(("arrivals.mean_residence", "1e999".to_string(), false, None));

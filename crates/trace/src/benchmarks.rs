@@ -518,6 +518,11 @@ mod tests {
             );
         for p in profiles {
             assert!(p.threads <= MAX_PROFILE_THREADS, "{}", p.name);
+            assert!(
+                TraceSpec::check_job(p.threads, crate::MAX_TRACE_LEN).is_ok(),
+                "{}",
+                p.name
+            );
             assert!(p.n_loops <= MAX_PROFILE_LOOPS, "{}", p.name);
             assert!(p.loop_body <= MAX_LOOP_BODY, "{}", p.name);
             assert!(p.loop_iters <= MAX_LOOP_ITERS, "{}", p.name);

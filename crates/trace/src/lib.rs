@@ -55,5 +55,5 @@ pub use profile::{
 pub use reuse::ReuseProfile;
 pub use rng::Rng64;
 pub use stats::TraceStats;
-pub use trace::{ThreadedTrace, Trace, TraceSpec, MAX_TRACE_LEN};
+pub use trace::{ThreadedTrace, Trace, TraceSpec, MAX_JOB_INSTRUCTIONS, MAX_TRACE_LEN};
 pub use workload::Workload;

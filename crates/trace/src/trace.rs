@@ -24,6 +24,13 @@ sharing_json::json_struct!(TraceSpec { len, seed });
 /// run uses 600 000.
 pub const MAX_TRACE_LEN: usize = 1_000_000;
 
+/// The most instructions one job may ask the generator for, `threads ×
+/// len` over all its threads: the largest built-in job, a four-thread
+/// PARSEC VM at [`MAX_TRACE_LEN`]. A profile at
+/// [`MAX_PROFILE_THREADS`](crate::MAX_PROFILE_THREADS) threads and that
+/// length would build about 2 GB of instructions before the run starts.
+pub const MAX_JOB_INSTRUCTIONS: usize = 4 * MAX_TRACE_LEN;
+
 impl TraceSpec {
     /// Creates a spec.
     #[must_use]
@@ -44,6 +51,24 @@ impl TraceSpec {
             Ok(len)
         } else {
             Err(format!("must be between 1 and {MAX_TRACE_LEN}, got {len}"))
+        }
+    }
+
+    /// Checks a job of `threads` threads of `len` instructions each
+    /// against [`MAX_JOB_INSTRUCTIONS`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the product and the cap.
+    pub fn check_job(threads: usize, len: usize) -> Result<(), String> {
+        let total = threads.saturating_mul(len);
+        if total <= MAX_JOB_INSTRUCTIONS {
+            Ok(())
+        } else {
+            Err(format!(
+                "`threads` × `len` = {threads} × {len} = {total} instructions exceeds \
+                 MAX_JOB_INSTRUCTIONS = {MAX_JOB_INSTRUCTIONS}"
+            ))
         }
     }
 }

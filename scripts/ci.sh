@@ -58,17 +58,21 @@ echo "== placement smoke: a dc scenario at the grid caps, fast and byte-identica
 # that sorted every free bank of the chip took about 12 s on it, on a
 # 2-vCPU host, past the timeout. The same seed must print the same bytes
 # and write the same epoch CSVs and non-empty event logs under --out.
+# The two billing modes run side by side; their logical-cycle spans
+# must still land in the --trace-out file in the same order every run.
 cat > "$TRACE_TMP/grid_cap.json" <<'EOF'
 {"name":"grid-cap","chips":2,"rows":256,"cols":256,"placement":"worst-fit","epochs":48,
  "arrivals":{"base_rate":8,"burst_rate":8,"mean_residence":10}}
 EOF
 for run in a b; do
   timeout 10 "$SSIM" dc --scenario "$TRACE_TMP/grid_cap.json" --seed 7 \
-    --out "$TRACE_TMP/dc_$run" > "$TRACE_TMP/grid_cap_$run.txt"
+    --out "$TRACE_TMP/dc_$run" --trace-out "$TRACE_TMP/grid_cap_$run.trace.json" \
+    > "$TRACE_TMP/grid_cap_$run.txt"
 done
 diff <(grep -v '^wrote ' "$TRACE_TMP/grid_cap_a.txt") \
   <(grep -v '^wrote ' "$TRACE_TMP/grid_cap_b.txt")
 diff -r "$TRACE_TMP/dc_a" "$TRACE_TMP/dc_b"
+diff "$TRACE_TMP/grid_cap_a.trace.json" "$TRACE_TMP/grid_cap_b.trace.json"
 for mode in sharing fixed; do
   test -s "$TRACE_TMP/dc_a/grid-cap-$mode.log"
   test -s "$TRACE_TMP/dc_a/grid-cap-$mode.csv"
