@@ -206,12 +206,6 @@ impl L2Array {
         self.banks[b].invalidate(local)
     }
 
-    /// Flushes every bank (required before reassigning banks to another
-    /// VCore, §3.8); returns total dirty lines written back.
-    pub fn flush_all(&mut self) -> u64 {
-        self.banks.iter_mut().map(SetAssocCache::flush_all).sum()
-    }
-
     /// Aggregated statistics over all banks.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -317,7 +311,6 @@ mod tests {
         assert_eq!(out.latency, 0);
         assert_eq!(l2.total_bytes(), 0);
         assert!(!l2.invalidate(7));
-        assert_eq!(l2.flush_all(), 0);
     }
 
     #[test]
@@ -327,15 +320,5 @@ mod tests {
         assert!(l2.access(10, false).hit);
         assert_eq!(l2.stats().accesses, 2);
         assert_eq!(l2.stats().hits, 1);
-    }
-
-    #[test]
-    fn flush_reports_dirty_lines() {
-        let mut l2 = L2Array::new(2);
-        l2.access(0, true);
-        l2.access(1, true);
-        l2.access(2, false);
-        assert_eq!(l2.flush_all(), 2);
-        assert!(!l2.access(0, false).hit, "flush empties the banks");
     }
 }

@@ -393,14 +393,6 @@ impl FuCalendar {
             }
         }
     }
-
-    fn clear(&mut self) {
-        // Keeps the allocation: calendars are cleared at every pipeline
-        // drain and refill the same window next chunk.
-        self.words.clear();
-        self.base = 0;
-        self.count = 0;
-    }
 }
 
 /// Fixed network latencies of one VCore shape, computed once: they
@@ -1368,18 +1360,6 @@ impl VCoreEngine {
     pub fn absorb_mem_stats(result: &mut SimResult, mem: &MemorySystem) {
         result.mem.l2 = mem.l2.stats();
         result.mem.memory_accesses = mem.memory_accesses;
-    }
-
-    /// Resets transient pipeline state while keeping caches/predictors warm
-    /// (used across reconfigurations).
-    pub fn drain_pipeline(&mut self) {
-        for s in &mut self.slices {
-            s.mshr.clear();
-            s.alu.clear();
-            s.lsu.clear();
-            s.alu_window.clear();
-            s.ls_window.clear();
-        }
     }
 
     /// Advances the engine's notion of time (reconfiguration stalls).

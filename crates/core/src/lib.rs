@@ -12,8 +12,8 @@
 //! * [`VmSimulator`] — multi-VCore VMs sharing a coherent L2 (PARSEC);
 //! * [`run_workload`] — the one runner that picks between the two for a
 //!   [`sharing_trace::Workload`] (§5.3);
-//! * [`run_phased_with`] — dynamic reconfiguration across program phases
-//!   with the paper's 500/10 000-cycle costs (§5.10);
+//! * [`ReconfigurableVCore`] — a live VCore resized between program
+//!   phases with the paper's 500/10 000-cycle costs (§3.8, §5.10);
 //! * [`engine`] — the underlying timing model, exposed for composition;
 //! * [`profile`] — conservation-exact cycle attribution: every simulated
 //!   cycle of every Slice binned into fetch/issue/FU-busy/DRAM-stall/
@@ -65,6 +65,6 @@ pub use profile::{CycleProfile, SliceCycles};
 pub use reconfig::ReconfigCosts;
 pub use reconfigurable::ReconfigurableVCore;
 pub use run::run_workload;
-pub use sim::{run_phased_with, RunOptions, RunOutput, Simulator};
+pub use sim::{RunOptions, RunOutput, Simulator};
 pub use stats::{MemCounters, SimResult, SliceStats, StallBreakdown};
 pub use structures::{Distribution, Structure};

@@ -231,31 +231,7 @@ impl VmSimulator {
         for engine in engines {
             cycles = cycles.max(engine.cycles());
             let r = engine.finish(workload.name());
-            total.instructions += r.instructions;
-            total.predictor.predictions += r.predictor.predictions;
-            total.predictor.mispredictions += r.predictor.mispredictions;
-            total.predictor.btb_misses += r.predictor.btb_misses;
-            total.mem.l1d.accesses += r.mem.l1d.accesses;
-            total.mem.l1d.hits += r.mem.l1d.hits;
-            total.mem.l1i.accesses += r.mem.l1i.accesses;
-            total.mem.l1i.hits += r.mem.l1i.hits;
-            total.mem.store_forwards += r.mem.store_forwards;
-            total.mem.lsq_violations += r.mem.lsq_violations;
-            total.mem.coherence_invalidations += r.mem.coherence_invalidations;
-            total.mem.coherence_forwards += r.mem.coherence_forwards;
-            total.remote_operand_requests += r.remote_operand_requests;
-            total.lrf_copy_hits += r.lrf_copy_hits;
-            total.ls_sort_messages += r.ls_sort_messages;
-            total.rename_broadcasts += r.rename_broadcasts;
-            total.operand_net += r.operand_net;
-            total.stalls.rob_full += r.stalls.rob_full;
-            total.stalls.window_full += r.stalls.window_full;
-            total.stalls.lsq_full += r.stalls.lsq_full;
-            total.stalls.mshr_full += r.stalls.mshr_full;
-            total.stalls.store_buffer_full += r.stalls.store_buffer_full;
-            total.stalls.freelist_empty += r.stalls.freelist_empty;
-            total.stalls.mispredict += r.stalls.mispredict;
-            total.stalls.icache += r.stalls.icache;
+            total.add_vcore_counters(&r);
         }
         total.cycles = cycles;
         VCoreEngine::absorb_mem_stats(&mut total, &mem);

@@ -1,8 +1,8 @@
 //! A live, reconfigurable Virtual Core (paper §3.8).
 //!
-//! [`run_phased_with`](crate::run_phased_with) approximates reconfiguration by
-//! restarting the simulator cold each phase. This module models what the
-//! hardware actually does:
+//! This is the one model of resizing a running VCore: Table 7's phase
+//! schedules (`sharing_market::phases`) and the `phase_adaptive` example
+//! execute on it. It models what the hardware actually does:
 //!
 //! * **Slice-count changes** keep the L2 banks and their contents — only a
 //!   Register Flush and interconnect reprogramming happen (500 cycles), so
@@ -19,7 +19,6 @@ use crate::config::{ConfigError, SimConfig, VCoreShape};
 use crate::engine::{MemorySystem, VCoreEngine};
 use crate::reconfig::ReconfigCosts;
 use crate::stats::SimResult;
-use sharing_isa::DynInst;
 use sharing_trace::Trace;
 
 /// A Virtual Core that can be resized while it runs.
@@ -48,12 +47,8 @@ pub struct ReconfigurableVCore {
     engine: VCoreEngine,
     mem: MemorySystem,
     costs: ReconfigCosts,
-    /// Results of completed (pre-reconfiguration) engine incarnations.
-    completed: Vec<SimResult>,
-    /// Memory-system counters already attributed to retired incarnations
-    /// (`MemorySystem` counts cumulatively): `(l2 accesses, l2 hits,
-    /// memory accesses)`.
-    mem_baseline: (u64, u64, u64),
+    /// Counters of retired engine incarnations and of flushed L2s.
+    retired: SimResult,
     reconfigurations: u64,
     reconfig_cycles: u64,
 }
@@ -71,8 +66,7 @@ impl ReconfigurableVCore {
             mem: MemorySystem::private(cfg.l2_banks(), cfg.mem.memory_delay),
             cfg,
             costs: ReconfigCosts::paper(),
-            completed: Vec::new(),
-            mem_baseline: (0, 0, 0),
+            retired: SimResult::default(),
             reconfigurations: 0,
             reconfig_cycles: 0,
         })
@@ -103,14 +97,15 @@ impl ReconfigurableVCore {
         self.reconfigurations
     }
 
+    /// Reconfiguration cycles charged so far.
+    #[must_use]
+    pub fn reconfig_cycles(&self) -> u64 {
+        self.reconfig_cycles
+    }
+
     /// Runs a batch of committed-path instructions on the current shape.
     pub fn run(&mut self, trace: &Trace) {
         self.engine.run_chunk(&mut self.mem, trace.insts());
-    }
-
-    /// Runs raw instructions (for streaming callers).
-    pub fn run_insts(&mut self, insts: &[DynInst]) {
-        self.engine.run_chunk(&mut self.mem, insts);
     }
 
     /// Resizes the VCore in place, charging the paper's §3.8 costs and
@@ -135,23 +130,17 @@ impl ReconfigurableVCore {
         let cost = self.costs.cost(old_shape, new_shape);
         let resume_at = self.engine.cycles() + cost;
 
-        // Retire the old engine's statistics, attributing only the memory
-        // traffic this incarnation added.
         let old_engine = std::mem::replace(&mut self.engine, VCoreEngine::new(new_cfg, 0));
-        let mut retired = old_engine.finish("phase");
-        self.absorb_mem_delta(&mut retired);
-        self.completed.push(retired);
+        self.retired.add_vcore_counters(&old_engine.finish("phase"));
 
-        if new_shape.l2_banks == old_shape.l2_banks {
-            // Slice-only change: the bank set is untouched — dirty contents
-            // survive (the Register Flush rides the operand network).
-        } else {
-            // Bank set changes: dirty state goes to memory and the new set
-            // starts cold (§3.8: "all dirty state in L2 Cache Banks be
-            // flushed to main memory before reconfiguration").
-            self.mem.l2.flush_all();
+        // A Slice-only change leaves the bank set untouched: dirty contents
+        // survive (the Register Flush rides the operand network). A bank
+        // change sends dirty state to memory and starts the new set cold
+        // (§3.8: "all dirty state in L2 Cache Banks be flushed to main
+        // memory before reconfiguration").
+        if new_shape.l2_banks != old_shape.l2_banks {
+            add_mem_traffic(&mut self.retired, &self.mem);
             self.mem = MemorySystem::private(new_shape.l2_banks, new_cfg.mem.memory_delay);
-            self.mem_baseline = (0, 0, 0);
         }
         self.cfg = new_cfg;
         self.engine.add_stall_cycles(resume_at);
@@ -160,48 +149,29 @@ impl ReconfigurableVCore {
         Ok(cost)
     }
 
-    /// Attributes the memory traffic since the last baseline to `result`.
-    fn absorb_mem_delta(&mut self, result: &mut SimResult) {
-        let l2 = self.mem.l2.stats();
-        let (base_acc, base_hit, base_mem) = self.mem_baseline;
-        result.mem.l2.accesses = l2.accesses - base_acc;
-        result.mem.l2.hits = l2.hits - base_hit;
-        result.mem.memory_accesses = self.mem.memory_accesses - base_mem;
-        self.mem_baseline = (l2.accesses, l2.hits, self.mem.memory_accesses);
-    }
-
     /// Finalizes the run: aggregate result across every shape worn, on the
     /// continuous clock.
     #[must_use]
-    pub fn finish(mut self) -> SimResult {
-        let engine = std::mem::replace(&mut self.engine, VCoreEngine::new(self.cfg, 0));
-        let mut last = engine.finish("reconfigurable-vcore");
-        self.absorb_mem_delta(&mut last);
-        let mut completed = std::mem::take(&mut self.completed);
-        let mut total = SimResult {
-            workload: "reconfigurable-vcore".to_string(),
-            shape: last.shape,
-            cycles: last.cycles, // continuous clock: the final commit time
-            ..SimResult::default()
-        };
-        completed.push(last);
-        for r in completed {
-            total.instructions += r.instructions;
-            total.predictor.predictions += r.predictor.predictions;
-            total.predictor.mispredictions += r.predictor.mispredictions;
-            total.predictor.btb_misses += r.predictor.btb_misses;
-            total.mem.l1d.accesses += r.mem.l1d.accesses;
-            total.mem.l1d.hits += r.mem.l1d.hits;
-            total.mem.l1i.accesses += r.mem.l1i.accesses;
-            total.mem.l1i.hits += r.mem.l1i.hits;
-            total.mem.l2.accesses += r.mem.l2.accesses;
-            total.mem.l2.hits += r.mem.l2.hits;
-            total.mem.memory_accesses += r.mem.memory_accesses;
-            total.mem.store_forwards += r.mem.store_forwards;
-            total.mem.lsq_violations += r.mem.lsq_violations;
-        }
+    pub fn finish(self) -> SimResult {
+        let last = self.engine.finish("reconfigurable-vcore");
+        let mut total = self.retired;
+        total.add_vcore_counters(&last);
+        add_mem_traffic(&mut total, &self.mem);
+        total.workload = last.workload;
+        total.shape = last.shape;
+        total.cycles = last.cycles; // continuous clock: the final commit time
         total
     }
+}
+
+/// Adds a private memory system's L2 and DRAM traffic to `total`.
+fn add_mem_traffic(total: &mut SimResult, mem: &MemorySystem) {
+    let l2 = mem.l2.stats();
+    total.mem.l2.accesses += l2.accesses;
+    total.mem.l2.hits += l2.hits;
+    total.mem.l2.writebacks += l2.writebacks;
+    total.mem.l2.invalidations += l2.invalidations;
+    total.mem.memory_accesses += mem.memory_accesses;
 }
 
 #[cfg(test)]
@@ -271,6 +241,28 @@ mod tests {
         assert_eq!(v.shape(), shape(1, 0));
         v.reconfigure(shape(8, 128)).unwrap();
         assert_eq!(v.shape(), shape(8, 128));
+    }
+
+    #[test]
+    fn unresized_vcore_reports_what_a_plain_run_does() {
+        // Without a reconfiguration the live VCore is one plain run: every
+        // counter the per-VCore sum carries, and the L2 and memory traffic,
+        // must match `Simulator::run_with`.
+        let trace = Benchmark::Mcf.generate(&TraceSpec::new(5_000, 4));
+        let cfg = SimConfig::with_shape(2, 4).unwrap();
+        let mut v = ReconfigurableVCore::new(cfg).unwrap();
+        v.run(&trace);
+        let live = v.finish();
+        let mut plain = crate::Simulator::new(cfg)
+            .unwrap()
+            .run_with(&trace, crate::RunOptions::new())
+            .result;
+        assert!(plain.stalls.rob_full + plain.operand_net.messages > 0);
+        plain.workload = live.workload.clone();
+        plain.per_slice.clear();
+        plain.mem.l1d.writebacks = 0;
+        plain.mem.l1d.invalidations = 0;
+        assert_eq!(live, plain);
     }
 
     #[test]

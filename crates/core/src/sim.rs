@@ -11,7 +11,6 @@
 
 use crate::config::{ConfigError, SimConfig};
 use crate::engine::{InstTiming, MemorySystem, VCoreEngine};
-use crate::reconfig::ReconfigCosts;
 use crate::stats::SimResult;
 use sharing_trace::Trace;
 use std::sync::OnceLock;
@@ -231,47 +230,6 @@ impl Simulator {
             verified,
         }
     }
-}
-
-/// Runs a sequence of (trace phase, configuration) pairs on a dynamically
-/// reconfigured VCore, charging the paper's reconfiguration costs between
-/// phases (§5.10). Caches and predictors restart cold per phase — matching
-/// the L2-flush semantics of reconfiguration — and the returned cycle count
-/// includes the reconfiguration stalls.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if any phase configuration is invalid.
-///
-/// # Panics
-///
-/// Panics if `phases` is empty.
-pub fn run_phased_with(
-    phases: &[(Trace, SimConfig)],
-    costs: ReconfigCosts,
-) -> Result<SimResult, ConfigError> {
-    assert!(!phases.is_empty(), "at least one phase required");
-    let mut total = SimResult {
-        workload: phases[0].0.name().to_string(),
-        ..SimResult::default()
-    };
-    let mut prev_shape = None;
-    for (trace, cfg) in phases {
-        let r = Simulator::new(*cfg)?
-            .run_with(trace, RunOptions::new())
-            .result;
-        if let Some(prev) = prev_shape {
-            total.cycles += costs.cost(prev, cfg.shape());
-        }
-        prev_shape = Some(cfg.shape());
-        total.cycles += r.cycles;
-        total.instructions += r.instructions;
-        total.mem.lsq_violations += r.mem.lsq_violations;
-        total.predictor.predictions += r.predictor.predictions;
-        total.predictor.mispredictions += r.predictor.mispredictions;
-    }
-    total.shape = prev_shape;
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -603,28 +561,5 @@ mod tests {
             "per-slice predictions must sum to the aggregate"
         );
         assert_eq!(accs.iter().sum::<u64>(), r.mem.l1d.accesses);
-    }
-
-    #[test]
-    fn phased_run_charges_reconfiguration() {
-        let t = gcc(4_000);
-        let phases = t.split_phases(2);
-        let cfg_a = SimConfig::with_shape(2, 2).unwrap();
-        let cfg_b = SimConfig::with_shape(2, 4).unwrap();
-        let phased = run_phased_with(
-            &[(phases[0].clone(), cfg_a), (phases[1].clone(), cfg_b)],
-            ReconfigCosts::paper(),
-        )
-        .unwrap();
-        let same = run_phased_with(
-            &[(phases[0].clone(), cfg_a), (phases[1].clone(), cfg_a)],
-            ReconfigCosts::paper(),
-        )
-        .unwrap();
-        assert_eq!(phased.instructions, 4_000);
-        // Cache change costs 10 000; slice-identical costs 0.
-        assert!(phased.cycles >= same.cycles.saturating_sub(20_000));
-        let raw_a = run_plain(SimConfig::with_shape(2, 2).unwrap(), &phases[0]);
-        assert!(phased.cycles > raw_a.cycles, "includes both phases");
     }
 }

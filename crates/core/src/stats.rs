@@ -159,6 +159,38 @@ impl SimResult {
         self.ipc()
     }
 
+    /// Adds one VCore engine's own counters into this aggregate:
+    /// instructions, predictor, L1 and LSQ traffic, coherence, operand
+    /// network, messages and stalls. Cycles, the shared L2 and memory
+    /// counters, and the per-Slice breakdown are the caller's to set.
+    pub fn add_vcore_counters(&mut self, r: &SimResult) {
+        self.instructions += r.instructions;
+        self.predictor.predictions += r.predictor.predictions;
+        self.predictor.mispredictions += r.predictor.mispredictions;
+        self.predictor.btb_misses += r.predictor.btb_misses;
+        self.mem.l1d.accesses += r.mem.l1d.accesses;
+        self.mem.l1d.hits += r.mem.l1d.hits;
+        self.mem.l1i.accesses += r.mem.l1i.accesses;
+        self.mem.l1i.hits += r.mem.l1i.hits;
+        self.mem.store_forwards += r.mem.store_forwards;
+        self.mem.lsq_violations += r.mem.lsq_violations;
+        self.mem.coherence_invalidations += r.mem.coherence_invalidations;
+        self.mem.coherence_forwards += r.mem.coherence_forwards;
+        self.remote_operand_requests += r.remote_operand_requests;
+        self.lrf_copy_hits += r.lrf_copy_hits;
+        self.ls_sort_messages += r.ls_sort_messages;
+        self.rename_broadcasts += r.rename_broadcasts;
+        self.operand_net += r.operand_net;
+        self.stalls.rob_full += r.stalls.rob_full;
+        self.stalls.window_full += r.stalls.window_full;
+        self.stalls.lsq_full += r.stalls.lsq_full;
+        self.stalls.mshr_full += r.stalls.mshr_full;
+        self.stalls.store_buffer_full += r.stalls.store_buffer_full;
+        self.stalls.freelist_empty += r.stalls.freelist_empty;
+        self.stalls.mispredict += r.stalls.mispredict;
+        self.stalls.icache += r.stalls.icache;
+    }
+
     /// One-line human summary.
     #[must_use]
     pub fn summary(&self) -> String {

@@ -7,17 +7,16 @@
 //! the `Debug` lines of the per-instruction timings). The cases cover
 //! every benchmark, a sample of the shape grid with its corners, the
 //! synthetic stress profiles, 4-thread VMs and coscheduled tenants, the
-//! cycle profiler, per-instruction timings, a verified run, a phased
-//! run, a live reconfiguration, and long runs that cross the engine's
-//! bounded-history thresholds.
+//! cycle profiler, per-instruction timings, a verified run, a live
+//! reconfiguration, and long runs that cross the engine's bounded-history
+//! thresholds.
 //!
 //! A change that moves any timing result must update the file in the
 //! same commit and say why in CHANGES.md (DESIGN.md §13). On a mismatch
 //! this test prints the full regenerated table, ready to paste in.
 
 use sharing_core::{
-    run_phased_with, ReconfigCosts, ReconfigurableVCore, RunOptions, SimConfig, SimResult,
-    Simulator, VCoreShape, VmSimulator,
+    ReconfigurableVCore, RunOptions, SimConfig, SimResult, Simulator, VCoreShape, VmSimulator,
 };
 use sharing_trace::{
     bursty_profile, phase_shift_profile, Benchmark, ProgramGenerator, Trace, TraceSpec,
@@ -169,20 +168,6 @@ fn table() -> Table {
     let out = run(cfg(4, 4), &trace, opts().verify());
     assert_eq!(out.verified, Some(true), "gcc failed verification");
     t.result("verified/gcc@4x4", &out.result);
-
-    // A phased run with the paper's reconfiguration charges between phases.
-    let phases = Benchmark::Gcc
-        .generate(&TraceSpec::new(4_000, 7))
-        .split_phases(2);
-    let r = run_phased_with(
-        &[
-            (phases[0].clone(), cfg(2, 2)),
-            (phases[1].clone(), cfg(2, 4)),
-        ],
-        ReconfigCosts::paper(),
-    )
-    .expect("valid phases");
-    t.result("phased/gcc@2x2>2x4", &r);
 
     // A live VCore resized twice: slice-only (L2 warm), then banks (flush).
     let phases = Benchmark::Gcc

@@ -6,10 +6,14 @@
 //! configuration changes, 500 when only Slices change) against the best
 //! *single* static shape for the whole program. Gains reach 19.4 % for
 //! `performance³/area`.
+//!
+//! The schedules are chosen from cold per-phase runs, then executed on a
+//! live [`ReconfigurableVCore`], so each row reports both the estimate
+//! and the executed gain.
 
 use sharing_area::AreaModel;
-use sharing_core::{par, ReconfigCosts, SimConfig, Simulator, VCoreShape};
-use sharing_trace::{gcc_phase_trace, TraceSpec};
+use sharing_core::{par, ReconfigCosts, ReconfigurableVCore, SimConfig, Simulator, VCoreShape};
+use sharing_trace::{gcc_phase_trace, Trace, TraceSpec};
 use std::collections::BTreeMap;
 
 /// Per-phase measurements for one metric exponent.
@@ -22,8 +26,13 @@ pub struct PhaseRow {
     /// The single static shape with the best whole-program metric.
     pub static_best: VCoreShape,
     /// Dynamic-over-static gain (e.g. `0.15` = 15 %), reconfiguration
-    /// costs included.
+    /// costs included, estimated from runs that start every phase cold.
     pub gain: f64,
+    /// The same gain with `per_phase` and `static_best` executed on a live
+    /// [`ReconfigurableVCore`]: caches stay warm across phases wherever
+    /// the bank set does, and each phase's cycles come from the
+    /// continuous clock, including the reconfiguration that entered it.
+    pub live_gain: f64,
 }
 
 /// The Table 7 study result.
@@ -35,33 +44,71 @@ pub struct PhaseStudy {
     pub rows: Vec<PhaseRow>,
 }
 
-/// Cycles each phase takes at each candidate shape, measured once and
-/// shared by all three metrics.
-type PhaseCycles = Vec<BTreeMap<VCoreShape, (u64, u64)>>; // (cycles, insts)
+/// One phase's `(cycles, instructions)`.
+type PhaseRun = (u64, u64);
 
-fn measure_phases(spec: &TraceSpec, phases: usize, shapes: &[VCoreShape]) -> PhaseCycles {
-    let tasks: Vec<(usize, VCoreShape)> = (1..=phases)
+/// Each phase's run at each candidate shape, measured once from a cold
+/// start and shared by all three metrics.
+type PhaseCycles = Vec<BTreeMap<VCoreShape, PhaseRun>>;
+
+fn cfg(shape: VCoreShape) -> SimConfig {
+    SimConfig::with_shape(shape.slices, shape.l2_banks).expect("candidate shapes are valid")
+}
+
+fn measure_phases(traces: &[Trace], shapes: &[VCoreShape]) -> PhaseCycles {
+    let tasks: Vec<(usize, VCoreShape)> = (0..traces.len())
         .flat_map(|p| shapes.iter().map(move |&s| (p, s)))
         .collect();
     let measured = par::map_indexed(par::resolve_jobs(None), &tasks, |_, &(p, shape)| {
-        let trace = gcc_phase_trace(p, spec);
-        let cfg = SimConfig::with_shape(shape.slices, shape.l2_banks)
-            .expect("candidate shapes are valid");
-        let r = Simulator::new(cfg)
+        let r = Simulator::new(cfg(shape))
             .expect("valid config")
-            .run_with(&trace, sharing_core::RunOptions::new())
+            .run_with(&traces[p], sharing_core::RunOptions::new())
             .result;
         (r.cycles, r.instructions)
     });
-    let mut out: PhaseCycles = vec![BTreeMap::new(); phases];
+    let mut out: PhaseCycles = vec![BTreeMap::new(); traces.len()];
     for (&(p, shape), v) in tasks.iter().zip(measured) {
-        out[p - 1].insert(shape, v);
+        out[p].insert(shape, v);
     }
     out
 }
 
+/// Executes `schedule` (one shape per phase) on one live VCore. Returns
+/// each phase's run on the continuous clock, with the reconfiguration
+/// into a phase charged to that phase, and the reconfiguration cycles
+/// paid in all.
+fn replay(traces: &[Trace], schedule: &[VCoreShape], costs: ReconfigCosts) -> (Vec<PhaseRun>, u64) {
+    let mut vcore = ReconfigurableVCore::new(cfg(schedule[0]))
+        .expect("valid config")
+        .with_costs(costs);
+    let runs = traces
+        .iter()
+        .zip(schedule)
+        .map(|(trace, &shape)| {
+            let start = vcore.cycles();
+            vcore
+                .reconfigure(shape)
+                .expect("candidate shapes are valid");
+            vcore.run(trace);
+            (vcore.cycles() - start, trace.len() as u64)
+        })
+        .collect();
+    (runs, vcore.reconfig_cycles())
+}
+
 fn metric(perf: f64, k: u32, shape: VCoreShape, area: &AreaModel) -> f64 {
     perf.powi(k as i32) / area.vcore_mm2(shape.slices, shape.l2_banks)
+}
+
+/// Geometric mean over phases of `perf^k/area` for `schedule` run as
+/// `runs`.
+fn schedule_gme(k: u32, schedule: &[VCoreShape], runs: &[PhaseRun], area: &AreaModel) -> f64 {
+    let log_sum: f64 = schedule
+        .iter()
+        .zip(runs)
+        .map(|(&shape, &(cycles, insts))| metric(insts as f64 / cycles as f64, k, shape, area).ln())
+        .sum();
+    (log_sum / runs.len() as f64).exp()
 }
 
 /// Runs the phase study on gcc's ten phases.
@@ -77,7 +124,10 @@ pub fn run_study_with(
     area: &AreaModel,
 ) -> PhaseStudy {
     assert!(phases >= 1 && !shapes.is_empty());
-    let measured = measure_phases(spec, phases, shapes);
+    let jobs = par::resolve_jobs(None);
+    let numbers: Vec<usize> = (1..=phases).collect();
+    let traces = par::map_indexed(jobs, &numbers, |_, &p| gcc_phase_trace(p, spec));
+    let measured = measure_phases(&traces, shapes);
     let rows = [1u32, 2, 3]
         .into_iter()
         .map(|k| {
@@ -87,7 +137,7 @@ pub fn run_study_with(
             // cycles charged against that phase's performance — exactly
             // the accounting of the paper's Table 7.
             let score =
-                |phase: &BTreeMap<VCoreShape, (u64, u64)>, shape: VCoreShape, reconfig: u64| {
+                |phase: &BTreeMap<VCoreShape, PhaseRun>, shape: VCoreShape, reconfig: u64| {
                     let (cycles, insts) = phase[&shape];
                     let perf = insts as f64 / (cycles + reconfig) as f64;
                     metric(perf, k, shape, area).ln()
@@ -127,23 +177,24 @@ pub fn run_study_with(
             let (static_best, static_gme) = shapes
                 .iter()
                 .map(|&shape| {
-                    let log_sum: f64 = measured
-                        .iter()
-                        .map(|phase| {
-                            let (cycles, insts) = phase[&shape];
-                            metric(insts as f64 / cycles as f64, k, shape, area).ln()
-                        })
-                        .sum();
-                    (shape, (log_sum / phases as f64).exp())
+                    let runs: Vec<PhaseRun> = measured.iter().map(|phase| phase[&shape]).collect();
+                    (shape, schedule_gme(k, &vec![shape; phases], &runs, area))
                 })
                 .max_by(|(_, a), (_, b)| a.total_cmp(b))
                 .expect("shapes measured");
+
+            // Both schedules executed on a live VCore.
+            let schedules = [per_phase.clone(), vec![static_best; phases]];
+            let live = par::map_indexed(jobs, &schedules, |_, schedule| {
+                schedule_gme(k, schedule, &replay(&traces, schedule, costs).0, area)
+            });
 
             PhaseRow {
                 k,
                 per_phase,
                 static_best,
                 gain: dyn_gme / static_gme - 1.0,
+                live_gain: live[0] / live[1] - 1.0,
             }
         })
         .collect();
@@ -211,6 +262,44 @@ mod tests {
                 row.k,
                 row.gain
             );
+        }
+    }
+
+    #[test]
+    fn live_dynamic_replay_charges_exactly_the_schedule_cost() {
+        // Over all ten phases the optima drift, so the schedules pay for
+        // both kinds of reconfiguration.
+        let spec = TraceSpec::new(4_000, 9);
+        let costs = ReconfigCosts::paper();
+        let study = run_study_with(&spec, 10, &small_shapes(), costs, &AreaModel::paper());
+        let traces: Vec<Trace> = (1..=10).map(|p| gcc_phase_trace(p, &spec)).collect();
+        let mut charged = Vec::new();
+        for row in &study.rows {
+            let (runs, paid) = replay(&traces, &row.per_phase, costs);
+            assert_eq!(paid, costs.schedule_cost(&row.per_phase), "k={}", row.k);
+            assert_eq!(runs.len(), 10);
+            charged.push(paid);
+        }
+        assert!(
+            charged.iter().any(|&c| c >= costs.cache_change),
+            "{charged:?}"
+        );
+        assert!(
+            charged.iter().any(|&c| c % costs.cache_change != 0),
+            "{charged:?}"
+        );
+    }
+
+    #[test]
+    fn one_candidate_shape_gains_nothing() {
+        let spec = TraceSpec::new(4_000, 9);
+        let only = [VCoreShape::new(2, 2).unwrap()];
+        let study = run_study_with(&spec, 3, &only, ReconfigCosts::paper(), &AreaModel::paper());
+        for row in &study.rows {
+            assert_eq!(row.per_phase, vec![only[0]; 3]);
+            assert_eq!(row.static_best, only[0]);
+            assert_eq!(row.gain, 0.0, "k={}", row.k);
+            assert_eq!(row.live_gain, 0.0, "k={}", row.k);
         }
     }
 

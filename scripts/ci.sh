@@ -30,6 +30,7 @@ EXAMPLES=(
   autotune           # area: area-constrained configuration search
   datacenter_mix     # hv: chip allocator under a tenant mix
   iaas_market        # market: the §5.6 sub-core market end to end
+  phase_adaptive     # market + core: Table 7's schedule on a live VCore
   dc_scenario        # dc: discrete-event datacenter, sharing vs fixed
   serve_jobs         # server: ssimd daemon end to end
   trace_a_run        # obs: two-clock tracing + Prometheus counters

@@ -82,25 +82,26 @@ fn interpreter_agrees_with_itself_on_generated_traces() {
 
 #[test]
 fn reconfiguration_costs_show_up_in_phased_runs() {
-    use sharing_arch::core::{run_phased_with, ReconfigCosts};
+    use sharing_arch::core::{ReconfigCosts, ReconfigurableVCore, VCoreShape};
     let t = Benchmark::Gcc.generate(&TraceSpec::new(6_000, 3));
     let phases = t.split_phases(3);
-    let small = SimConfig::with_shape(1, 1).unwrap();
-    let big = SimConfig::with_shape(1, 4).unwrap();
-    let alternating = vec![
-        (phases[0].clone(), small),
-        (phases[1].clone(), big),
-        (phases[2].clone(), small),
-    ];
-    let with_cost = run_phased_with(&alternating, ReconfigCosts::paper()).unwrap();
-    let free = run_phased_with(
-        &alternating,
-        ReconfigCosts {
-            slice_only: 0,
-            cache_change: 0,
-        },
-    )
-    .unwrap();
+    let small = VCoreShape::new(1, 1).unwrap();
+    let big = VCoreShape::new(1, 4).unwrap();
+    let run = |costs: ReconfigCosts| {
+        let mut vcore = ReconfigurableVCore::new(SimConfig::with_shape(1, 1).unwrap())
+            .unwrap()
+            .with_costs(costs);
+        for (phase, shape) in phases.iter().zip([small, big, small]) {
+            vcore.reconfigure(shape).unwrap();
+            vcore.run(phase);
+        }
+        vcore.finish()
+    };
+    let with_cost = run(ReconfigCosts::paper());
+    let free = run(ReconfigCosts {
+        slice_only: 0,
+        cache_change: 0,
+    });
     assert_eq!(with_cost.cycles - free.cycles, 2 * 10_000);
 }
 
