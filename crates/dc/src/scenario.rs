@@ -30,6 +30,10 @@ pub const MAX_TENANT_VCORES: usize = 1_024;
 /// catalog builds one surface and one table per utility for each. The
 /// suite has 15 benchmarks.
 pub const MAX_TENANT_BENCHMARKS: usize = 64;
+/// Longest name `tenants.benchmarks` may list, in bytes: the catalog
+/// memo keeps every name of up to eight scenarios. The suite's longest
+/// is 10.
+pub const MAX_BENCHMARK_NAME_BYTES: usize = 64;
 /// Most tâtonnement iterations per clearing.
 pub const MAX_AUCTION_ITERATIONS: usize = 10_000;
 /// Most auction work one run may ask for, in bidder price steps:
@@ -470,6 +474,14 @@ impl Scenario {
                 "`benchmarks` may list at most {MAX_TENANT_BENCHMARKS} names"
             ));
         }
+        if t.benchmarks
+            .iter()
+            .any(|n| n.len() > MAX_BENCHMARK_NAME_BYTES)
+        {
+            return Err(format!(
+                "`benchmarks` names may be at most {MAX_BENCHMARK_NAME_BYTES} bytes"
+            ));
+        }
         match self.surfaces.source.as_str() {
             "synthetic" => {}
             "calibrated" => {
@@ -606,6 +618,19 @@ mod tests {
         assert!(sc.validate().is_err());
         sc.tenants.benchmarks = vec!["gcc".to_string(), "mcf".to_string()];
         sc.validate().unwrap();
+    }
+
+    #[test]
+    fn benchmark_names_are_capped_in_bytes() {
+        let mut sc = Scenario::example_bursty();
+        sc.tenants.benchmarks = vec!["é".repeat(MAX_BENCHMARK_NAME_BYTES / 2)];
+        sc.validate().unwrap();
+        sc.tenants
+            .benchmarks
+            .push("x".repeat(MAX_BENCHMARK_NAME_BYTES + 1));
+        let err = sc.validate().unwrap_err();
+        assert!(err.contains("benchmarks"), "{err}");
+        assert!(err.contains(&MAX_BENCHMARK_NAME_BYTES.to_string()), "{err}");
     }
 
     #[test]

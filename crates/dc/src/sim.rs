@@ -23,6 +23,7 @@ use sharing_core::par;
 use sharing_core::{ReconfigCosts, VCoreShape};
 use sharing_hv::billing::{Ledger, Tariff};
 use sharing_hv::cloud::{Cloud, CloudLease};
+use sharing_hv::hypervisor::Hypervisor;
 use sharing_json::json_struct;
 use sharing_market::auction::{Auction, Bidder, UtilityTable};
 use sharing_market::utility::{UtilityFn, ALL_UTILITIES};
@@ -44,6 +45,13 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// Event-log bytes reserved per queued event: its own line, an
+/// arrival's departure line and the reconfiguration lines of a typical
+/// run. A longer log grows as a `String` does.
+const LOG_BYTES_PER_EVENT: usize = 256;
+/// Bytes reserved per epoch-CSV row.
+const CSV_ROW_BYTES: usize = 128;
 
 /// `10^places` for every precision [`Fixed`] writes itself.
 const POW10: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
@@ -136,22 +144,61 @@ impl fmt::Display for Fixed {
     }
 }
 
-/// A shape written as its `Display` writes it (`4s/256KB`), without a
-/// nested `write!`.
-struct Shape(VCoreShape);
-
-impl fmt::Display for Shape {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Two `u64`s of at most 20 digits each, plus `s/` and `KB`.
-        let mut buf = [0u8; 44];
-        let mut at = buf.len() - 2;
-        buf[at..].copy_from_slice(b"KB");
-        at = put_digits(&mut buf, at, self.0.l2_kb(), 1);
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(b"s/");
-        at = put_digits(&mut buf, at, self.0.slices as u64, 1);
-        f.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+/// Appends `x` to `places` decimals: the bytes of `{:.places$}`.
+fn push_fixed(out: &mut String, x: f64, places: usize) {
+    let mut buf = [0u8; 40];
+    match Fixed(x, places).digits(&mut buf) {
+        Some(at) => out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits")),
+        None => {
+            let _ = write!(out, "{x:.places$}");
+        }
     }
+}
+
+/// Appends `v` in decimal, right-aligned in `width` columns: the bytes
+/// of `{:>width$}`.
+fn push_uint(out: &mut String, v: u64, width: usize) {
+    let mut buf = [0u8; 20];
+    let at = put_digits(&mut buf, 20, v, 1);
+    for _ in buf.len() - at..width {
+        out.push(' ');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Appends each integer of `fields` after its label, e.g.
+/// `[(" tenant=", 7)]` as ` tenant=7`.
+fn push_ints(out: &mut String, fields: &[(&str, u64)]) {
+    for &(label, v) in fields {
+        out.push_str(label);
+        push_uint(out, v, 0);
+    }
+}
+
+/// Appends each float of `fields` after its label, to `places`
+/// decimals.
+fn push_floats(out: &mut String, fields: &[(&str, f64)], places: usize) {
+    for &(label, x) in fields {
+        out.push_str(label);
+        push_fixed(out, x, places);
+    }
+}
+
+/// Starts an event-log line: `[t=` and the time right-aligned in 12
+/// columns, then `] ` and `event`.
+fn push_event(out: &mut String, time: u64, event: &str) {
+    out.push_str("[t=");
+    push_uint(out, time, 12);
+    out.push_str("] ");
+    out.push_str(event);
+}
+
+/// Appends a shape as its `Display` writes it (`4s/256KB`).
+fn push_shape(out: &mut String, shape: VCoreShape) {
+    push_uint(out, shape.slices as u64, 0);
+    out.push_str("s/");
+    push_uint(out, shape.l2_kb(), 0);
+    out.push_str("KB");
 }
 
 /// Per-workload performance surfaces, resolved before the event loop
@@ -525,29 +572,39 @@ impl DcOutcome {
     /// The epoch series as CSV (deterministic formatting).
     #[must_use]
     pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "epoch,tenants,slice_price,bank_price,revenue,fixed_instance_revenue,utility,\
-             placed_vcores,denied_vcores,priced_out,reconfig_cycles,slice_utilization,\
-             fragmentation\n",
-        );
+        const HEADER: &str = "epoch,tenants,slice_price,bank_price,revenue,\
+            fixed_instance_revenue,utility,placed_vcores,denied_vcores,priced_out,\
+            reconfig_cycles,slice_utilization,fragmentation\n";
+        let mut out = String::with_capacity(HEADER.len() + CSV_ROW_BYTES * self.records.len());
+        out.push_str(HEADER);
         for r in &self.records {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.epoch,
-                r.tenants,
-                Fixed(r.slice_price, 6),
-                Fixed(r.bank_price, 6),
-                Fixed(r.revenue, 6),
-                Fixed(r.fixed_instance_revenue, 6),
-                Fixed(r.utility, 6),
-                r.placed_vcores,
-                r.denied_vcores,
-                r.priced_out,
+            for v in [r.epoch as u64, r.tenants as u64] {
+                push_uint(&mut out, v, 0);
+                out.push(',');
+            }
+            for x in [
+                r.slice_price,
+                r.bank_price,
+                r.revenue,
+                r.fixed_instance_revenue,
+                r.utility,
+            ] {
+                push_fixed(&mut out, x, 6);
+                out.push(',');
+            }
+            for v in [
+                r.placed_vcores as u64,
+                r.denied_vcores as u64,
+                r.priced_out as u64,
                 r.reconfig_cycles,
-                Fixed(r.slice_utilization, 6),
-                Fixed(r.fragmentation, 6),
-            );
+            ] {
+                push_uint(&mut out, v, 0);
+                out.push(',');
+            }
+            push_fixed(&mut out, r.slice_utilization, 6);
+            out.push(',');
+            push_fixed(&mut out, r.fragmentation, 6);
+            out.push('\n');
         }
         out
     }
@@ -583,31 +640,38 @@ pub struct Comparison {
     pub fixed: DcOutcome,
 }
 
+/// Aggregate-utility ratio of two runs' totals, `s` over `f`.
+fn utility_gain(s: &Totals, f: &Totals) -> f64 {
+    let (s, f) = (s.aggregate_utility, f.aggregate_utility);
+    if f > 0.0 {
+        s / f
+    } else if s > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    }
+}
+
+/// Revenue ratio of two runs' totals, `s` over `f`.
+fn revenue_ratio(s: &Totals, f: &Totals) -> f64 {
+    if f.revenue > 0.0 {
+        s.revenue / f.revenue
+    } else {
+        1.0
+    }
+}
+
 impl Comparison {
     /// Aggregate-utility ratio, sharing over fixed.
     #[must_use]
     pub fn utility_gain(&self) -> f64 {
-        let s = self.sharing.totals().aggregate_utility;
-        let f = self.fixed.totals().aggregate_utility;
-        if f > 0.0 {
-            s / f
-        } else if s > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        }
+        utility_gain(&self.sharing.totals(), &self.fixed.totals())
     }
 
     /// Revenue ratio, sharing over fixed.
     #[must_use]
     pub fn revenue_ratio(&self) -> f64 {
-        let s = self.sharing.totals().revenue;
-        let f = self.fixed.totals().revenue;
-        if f > 0.0 {
-            s / f
-        } else {
-            1.0
-        }
+        revenue_ratio(&self.sharing.totals(), &self.fixed.totals())
     }
 
     /// A side-by-side text summary.
@@ -655,8 +719,8 @@ impl Comparison {
         let _ = writeln!(
             out,
             "utility gain {}x, revenue ratio {}x",
-            Fixed(self.utility_gain(), 3),
-            Fixed(self.revenue_ratio(), 3)
+            Fixed(utility_gain(&s, &f), 3),
+            Fixed(revenue_ratio(&s, &f), 3)
         );
         out
     }
@@ -818,6 +882,7 @@ impl DcSim {
     ) -> DcOutcome {
         let sc = &self.scenario;
         let policy = sc.placement_policy().expect("scenario validated");
+        let mut queue = self.build_events(seed);
         let mut engine = Engine {
             sim: self,
             mode,
@@ -828,7 +893,12 @@ impl DcSim {
             fixed_tariff: sc.fixed_tariff.to_tariff(),
             costs: ReconfigCosts::paper(),
             last_prices: (Market::MARKET2.slice_price, Market::MARKET2.bank_price),
-            log: String::new(),
+            auction: Auction::new(
+                (sc.chips * sc.slices_per_chip()) as f64,
+                (sc.chips * sc.banks_per_chip()).max(1) as f64,
+            ),
+            plans: Vec::new(),
+            log: String::with_capacity(LOG_BYTES_PER_EVENT * queue.len()),
             records: Vec::with_capacity(sc.epochs),
             arrivals: 0,
             departures: 0,
@@ -845,18 +915,22 @@ impl DcSim {
             sc.slices_per_chip(),
             sc.banks_per_chip(),
         );
-        let mut queue = self.build_events(seed);
         while let Some(ev) = queue.pop() {
             match ev.kind {
                 EventKind::Arrive(spawn) => engine.on_arrive(ev.time, spawn, &mut queue),
                 EventKind::Depart { tenant } => engine.on_depart(ev.time, tenant),
                 EventKind::EpochClear { epoch } => engine.on_clear(ev.time, epoch),
                 EventKind::End => {
-                    let _ = writeln!(
-                        engine.log,
-                        "[t={:>12}] end: arrivals={} departures={} peak_tenants={}",
-                        ev.time, engine.arrivals, engine.departures, engine.peak_tenants
+                    push_event(&mut engine.log, ev.time, "end:");
+                    push_ints(
+                        &mut engine.log,
+                        &[
+                            (" arrivals=", engine.arrivals),
+                            (" departures=", engine.departures),
+                            (" peak_tenants=", engine.peak_tenants as u64),
+                        ],
                     );
+                    engine.log.push('\n');
                     break;
                 }
             }
@@ -930,6 +1004,10 @@ struct Engine<'a> {
     fixed_tariff: Tariff,
     costs: ReconfigCosts,
     last_prices: (f64, f64),
+    /// The sharing mode's auction, its bidders replaced every epoch.
+    auction: Auction,
+    /// The epoch's plans, refilled by every clearing.
+    plans: Vec<Plan>,
     log: String,
     records: Vec<EpochRecord>,
     arrivals: u64,
@@ -956,16 +1034,16 @@ impl Engine<'_> {
                 EventKind::Depart { tenant: spawn.id },
             );
         }
-        let _ = writeln!(
-            self.log,
-            "[t={:>12}] arrive tenant={} bench={} utility={} budget={} residence={}",
-            time,
-            spawn.id,
-            self.sim.catalog.name(spawn.bench),
-            spawn.utility.name(),
-            Fixed(spawn.budget, 2),
-            spawn.residence
-        );
+        let log = &mut self.log;
+        push_event(log, time, "arrive");
+        push_ints(log, &[(" tenant=", spawn.id)]);
+        log.push_str(" bench=");
+        log.push_str(self.sim.catalog.name(spawn.bench));
+        log.push_str(" utility=");
+        log.push_str(spawn.utility.name());
+        push_floats(log, &[(" budget=", spawn.budget)], 2);
+        push_ints(log, &[(" residence=", spawn.residence as u64)]);
+        log.push('\n');
         self.arrivals += 1;
         self.residents.insert(
             spawn.id,
@@ -988,13 +1066,18 @@ impl Engine<'_> {
         }
         self.departures += 1;
         let epoch = (time / self.sim.scenario.epoch_cycles) as usize;
-        let _ = writeln!(
-            self.log,
-            "[t={:>12}] depart tenant={} held_epochs={}",
-            time,
-            tenant,
-            epoch.saturating_sub(t.arrived_epoch)
+        push_event(&mut self.log, time, "depart");
+        push_ints(
+            &mut self.log,
+            &[
+                (" tenant=", tenant),
+                (
+                    " held_epochs=",
+                    epoch.saturating_sub(t.arrived_epoch) as u64,
+                ),
+            ],
         );
+        self.log.push('\n');
     }
 
     /// Clears the market for one epoch: price, place, charge, meter.
@@ -1014,39 +1097,57 @@ impl Engine<'_> {
             slice_utilization: 0.0,
             fragmentation: 0.0,
         };
-        let (tariff, plans) = self.clear_prices(&mut rec);
-        for plan in plans {
-            self.apply_plan(time, &plan, &mut rec);
+        let tariff = self.clear_prices(&mut rec);
+        let plans = std::mem::take(&mut self.plans);
+        for plan in &plans {
+            self.apply_plan(time, plan, &mut rec);
         }
+        self.plans = plans;
         for (i, ledger) in self.ledgers.iter_mut().enumerate() {
             ledger.meter(self.cloud.hypervisor(i), tariff, self.fixed_shape);
             let p = ledger.periods().last().expect("just metered");
             rec.revenue += p.revenue;
             rec.fixed_instance_revenue += p.fixed_instance_revenue;
         }
-        let stats = self.cloud.stats();
-        let chips = stats.slice_utilization.len().max(1) as f64;
-        rec.slice_utilization = stats.slice_utilization.iter().sum::<f64>() / chips;
-        rec.fragmentation = stats.fragmentation.iter().sum::<f64>() / chips;
-        let _ = writeln!(
-            self.log,
-            "[t={:>12}] epoch {:>3} clear: tenants={} slice_price={} bank_price={} \
-             placed={} denied={} priced_out={} reconfig={} revenue={} utility={} \
-             slice_util={} frag={}",
-            time,
-            epoch,
-            rec.tenants,
-            Fixed(rec.slice_price, 4),
-            Fixed(rec.bank_price, 4),
-            rec.placed_vcores,
-            rec.denied_vcores,
-            rec.priced_out,
-            rec.reconfig_cycles,
-            Fixed(rec.revenue, 4),
-            Fixed(rec.utility, 4),
-            Fixed(rec.slice_utilization, 4),
-            Fixed(rec.fragmentation, 4)
+        let chips = || (0..self.cloud.chip_count()).map(|i| self.cloud.hypervisor(i));
+        let n = self.cloud.chip_count() as f64;
+        rec.slice_utilization = chips().map(Hypervisor::slice_utilization).sum::<f64>() / n;
+        rec.fragmentation = chips()
+            .map(|hv| hv.chip().slice_fragmentation())
+            .sum::<f64>()
+            / n;
+        let log = &mut self.log;
+        push_event(log, time, "epoch ");
+        push_uint(log, epoch as u64, 3);
+        push_ints(log, &[(" clear: tenants=", rec.tenants as u64)]);
+        push_floats(
+            log,
+            &[
+                (" slice_price=", rec.slice_price),
+                (" bank_price=", rec.bank_price),
+            ],
+            4,
         );
+        push_ints(
+            log,
+            &[
+                (" placed=", rec.placed_vcores as u64),
+                (" denied=", rec.denied_vcores as u64),
+                (" priced_out=", rec.priced_out as u64),
+                (" reconfig=", rec.reconfig_cycles),
+            ],
+        );
+        push_floats(
+            log,
+            &[
+                (" revenue=", rec.revenue),
+                (" utility=", rec.utility),
+                (" slice_util=", rec.slice_utilization),
+                (" frag=", rec.fragmentation),
+            ],
+            4,
+        );
+        log.push('\n');
         self.observe_epoch(time, epoch, &rec);
         self.records.push(rec);
     }
@@ -1122,72 +1223,57 @@ impl Engine<'_> {
         );
     }
 
-    /// Prices the epoch and returns each resident's (shape, vcores) plan.
-    fn clear_prices(&mut self, rec: &mut EpochRecord) -> (Tariff, Vec<Plan>) {
+    /// Prices the epoch, fills `plans` with each resident's (shape,
+    /// vcores) plan and returns the epoch's tariff.
+    fn clear_prices(&mut self, rec: &mut EpochRecord) -> Tariff {
         let sc = &self.sim.scenario;
         let max_v = sc.tenants.max_vcores;
-        match self.mode {
+        self.plans.clear();
+        let tariff = match self.mode {
             BillingMode::Fixed => {
                 let rate = self.fixed_tariff.rate(self.fixed_shape);
-                rec.slice_price = self.fixed_tariff.slice_price;
-                rec.bank_price = self.fixed_tariff.bank_price;
-                let plans = self
-                    .residents
-                    .values()
-                    .map(|t| Plan {
-                        tenant: t.spawn.id,
-                        shape: self.fixed_shape,
-                        want: ((t.spawn.budget / rate).floor() as usize).min(max_v),
-                    })
-                    .collect();
-                (self.fixed_tariff, plans)
+                self.plans.extend(self.residents.values().map(|t| Plan {
+                    tenant: t.spawn.id,
+                    shape: self.fixed_shape,
+                    want: ((t.spawn.budget / rate).floor() as usize).min(max_v),
+                }));
+                self.fixed_tariff
             }
+            BillingMode::Sharing if self.residents.is_empty() => Tariff {
+                slice_price: self.last_prices.0,
+                bank_price: self.last_prices.1,
+            },
             BillingMode::Sharing => {
-                if self.residents.is_empty() {
-                    rec.slice_price = self.last_prices.0;
-                    rec.bank_price = self.last_prices.1;
-                    return (
-                        Tariff {
-                            slice_price: self.last_prices.0,
-                            bank_price: self.last_prices.1,
-                        },
-                        Vec::new(),
-                    );
-                }
-                let supply_slices = (sc.chips * sc.slices_per_chip()) as f64;
-                let supply_banks = (sc.chips * sc.banks_per_chip()).max(1) as f64;
-                let mut auction = Auction::new(supply_slices, supply_banks);
+                self.auction.remove_bidders();
                 for t in self.residents.values() {
-                    auction.add_bidder(Bidder {
+                    self.auction.add_bidder(Bidder {
                         table: Arc::clone(self.sim.catalog.table(t.spawn.bench, t.spawn.utility)),
                         budget: t.spawn.budget,
                     });
                 }
-                let clearing = auction.clear(sc.auction.max_iterations, sc.auction.tolerance);
+                let clearing = self
+                    .auction
+                    .clear(sc.auction.max_iterations, sc.auction.tolerance);
                 self.last_prices = (clearing.slice_price, clearing.bank_price);
-                rec.slice_price = clearing.slice_price;
-                rec.bank_price = clearing.bank_price;
                 // Allocations come back in bidder insertion order, which is
                 // resident id order (BTreeMap iteration).
-                let plans = self
-                    .residents
-                    .values()
-                    .zip(&clearing.allocations)
-                    .map(|(t, alloc)| Plan {
-                        tenant: t.spawn.id,
-                        shape: alloc.shape,
-                        want: (alloc.vcores.floor() as usize).min(max_v),
-                    })
-                    .collect();
-                (
-                    Tariff {
-                        slice_price: clearing.slice_price,
-                        bank_price: clearing.bank_price,
-                    },
-                    plans,
-                )
+                self.plans
+                    .extend(self.residents.values().zip(&clearing.allocations).map(
+                        |(t, alloc)| Plan {
+                            tenant: t.spawn.id,
+                            shape: alloc.shape,
+                            want: (alloc.vcores.floor() as usize).min(max_v),
+                        },
+                    ));
+                Tariff {
+                    slice_price: clearing.slice_price,
+                    bank_price: clearing.bank_price,
+                }
             }
-        }
+        };
+        rec.slice_price = tariff.slice_price;
+        rec.bank_price = tariff.bank_price;
+        tariff
     }
 
     /// Applies one tenant's plan: reconfigure, place, and score utility.
@@ -1203,13 +1289,10 @@ impl Engine<'_> {
             }
             t.shape = None;
             rec.priced_out += 1;
-            let _ = writeln!(
-                self.log,
-                "[t={:>12}] priced-out tenant={} budget={}",
-                time,
-                plan.tenant,
-                Fixed(t.spawn.budget, 2)
-            );
+            push_event(&mut self.log, time, "priced-out");
+            push_ints(&mut self.log, &[(" tenant=", plan.tenant)]);
+            push_floats(&mut self.log, &[(" budget=", t.spawn.budget)], 2);
+            self.log.push('\n');
             return;
         }
         let mut reconfig = 0u64;
@@ -1229,15 +1312,15 @@ impl Engine<'_> {
             if let Some(old) = t.shape {
                 if !t.leases.is_empty() {
                     reconfig = self.costs.cost(old, plan.shape);
-                    let _ = writeln!(
-                        self.log,
-                        "[t={:>12}] reconfig tenant={} {} -> {} cost={}",
-                        time,
-                        plan.tenant,
-                        Shape(old),
-                        Shape(plan.shape),
-                        reconfig
-                    );
+                    let log = &mut self.log;
+                    push_event(log, time, "reconfig");
+                    push_ints(log, &[(" tenant=", plan.tenant)]);
+                    log.push(' ');
+                    push_shape(log, old);
+                    log.push_str(" -> ");
+                    push_shape(log, plan.shape);
+                    push_ints(log, &[(" cost=", reconfig)]);
+                    log.push('\n');
                 }
             }
             for lease in t.leases.drain(..) {
@@ -1254,15 +1337,16 @@ impl Engine<'_> {
         let placed = t.leases.len();
         if placed < plan.want {
             rec.denied_vcores += plan.want - placed;
-            let _ = writeln!(
-                self.log,
-                "[t={:>12}] deny tenant={} shape={} placed={} of {}",
-                time,
-                plan.tenant,
-                Shape(plan.shape),
-                placed,
-                plan.want
+            let log = &mut self.log;
+            push_event(log, time, "deny");
+            push_ints(log, &[(" tenant=", plan.tenant)]);
+            log.push_str(" shape=");
+            push_shape(log, plan.shape);
+            push_ints(
+                log,
+                &[(" placed=", placed as u64), (" of ", plan.want as u64)],
             );
+            log.push('\n');
         }
         rec.placed_vcores += placed;
         rec.reconfig_cycles += reconfig;
@@ -1309,6 +1393,9 @@ mod tests {
                 let want = format!("{x:.n$}");
                 let got = Fixed(x, n).to_string();
                 assert_eq!(got, want, "{x:e} to {n} places, bits {:#x}", x.to_bits());
+                let mut pushed = String::new();
+                push_fixed(&mut pushed, x, n);
+                assert_eq!(pushed, want, "{x:e} to {n} places, bits {:#x}", x.to_bits());
                 assert_eq!(format!("{:>12}", Fixed(x, n)), format!("{x:>12.n$}"));
             }
         };
@@ -1354,6 +1441,25 @@ mod tests {
                 {
                     check(x, n);
                 }
+            }
+        }
+    }
+
+    /// `push_uint` against `{:>width$}`, byte for byte: every digit count
+    /// of a `u64`, each at widths below, at and above it.
+    #[test]
+    fn integers_write_the_bytes_of_the_std_formatter() {
+        let mut rng = Rng64::seed_from_u64(33);
+        let mut values = vec![0, 1, 9, 10, 99, 100, u64::MAX];
+        for digits in 1..20 {
+            let low = 10u64.pow(digits - 1);
+            values.extend([low, 10 * low - 1, low + rng.below(9 * low)]);
+        }
+        for v in values {
+            for width in [0, 1, 3, 12, 19, 20, 24] {
+                let mut got = String::new();
+                push_uint(&mut got, v, width);
+                assert_eq!(got, format!("{v:>width$}"), "{v} in {width} columns");
             }
         }
     }
@@ -1543,7 +1649,9 @@ mod tests {
         let shapes =
             (1..=8).flat_map(|s| (0..=128).filter_map(move |b| VCoreShape::new(s, b).ok()));
         for shape in shapes {
-            assert_eq!(Shape(shape).to_string(), shape.to_string());
+            let mut written = String::new();
+            push_shape(&mut written, shape);
+            assert_eq!(written, shape.to_string());
         }
     }
 

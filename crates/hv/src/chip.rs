@@ -49,8 +49,8 @@ impl fmt::Display for Tile {
 pub struct Chip {
     rows: u16,
     cols: u16,
-    /// `occupied[row][col]`.
-    occupied: Vec<Vec<bool>>,
+    /// `occupied[row * cols + col]`: one buffer, row after row.
+    occupied: Vec<bool>,
 }
 
 impl Chip {
@@ -66,7 +66,7 @@ impl Chip {
         Chip {
             rows,
             cols,
-            occupied: vec![vec![false; cols as usize]; rows as usize],
+            occupied: vec![false; usize::from(rows) * usize::from(cols)],
         }
     }
 
@@ -110,12 +110,24 @@ impl Chip {
     /// Whether a tile is currently allocated.
     #[must_use]
     pub fn is_occupied(&self, row: u16, col: u16) -> bool {
-        self.occupied[row as usize][col as usize]
+        self.occupied[self.index(row, col)]
     }
 
     /// Marks a tile allocated or free.
     pub(crate) fn set_occupied(&mut self, row: u16, col: u16, value: bool) {
-        self.occupied[row as usize][col as usize] = value;
+        let i = self.index(row, col);
+        self.occupied[i] = value;
+    }
+
+    /// Where a tile's flag lies in `occupied`.
+    fn index(&self, row: u16, col: u16) -> usize {
+        assert!(col < self.cols, "tile out of range");
+        usize::from(row) * usize::from(self.cols) + usize::from(col)
+    }
+
+    /// Each row's occupancy flags, top to bottom.
+    fn occupancy_rows(&self) -> std::slice::ChunksExact<'_, bool> {
+        self.occupied.chunks_exact(usize::from(self.cols))
     }
 
     /// Total Slice tiles on the chip: the even columns of every row.
@@ -141,10 +153,18 @@ impl Chip {
     /// `None` if no row has such a run.
     #[must_use]
     pub fn find_slice_run(&self, n: usize) -> Option<Vec<Tile>> {
+        let mut tiles = Vec::new();
+        self.slice_run_into(n, &mut tiles).then_some(tiles)
+    }
+
+    /// [`Chip::find_slice_run`] into a caller's buffer: on success `out`
+    /// holds exactly the run; on failure it is left empty.
+    pub(crate) fn slice_run_into(&self, n: usize, out: &mut Vec<Tile>) -> bool {
+        out.clear();
         if n == 0 {
-            return Some(Vec::new());
+            return true;
         }
-        for (r, row) in (0..self.rows).zip(&self.occupied) {
+        for (r, row) in (0..self.rows).zip(self.occupancy_rows()) {
             // Slices sit in the even columns; bank columns do not break
             // Slice adjacency.
             let mut run = 0;
@@ -153,11 +173,12 @@ impl Chip {
                 if run == n {
                     let first = c + 2 - 2 * n;
                     let cols = (first..=c).step_by(2);
-                    return Some(cols.map(|c| self.tile(r, c as u16)).collect());
+                    out.extend(cols.map(|c| self.tile(r, c as u16)));
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
     /// Finds the `n` free cache banks nearest to `anchor` (banks need not
@@ -170,12 +191,25 @@ impl Chip {
     /// so it can stop once a row completes `n` banks.
     #[must_use]
     pub fn find_banks_near(&self, anchor: Tile, n: usize) -> Option<Vec<Tile>> {
+        let mut tiles = Vec::new();
+        self.banks_near_into(anchor, n, &mut tiles).then_some(tiles)
+    }
+
+    /// [`Chip::find_banks_near`] into a caller's buffer: on success `out`
+    /// holds exactly the banks, in order; on failure it holds no
+    /// meaning.
+    pub(crate) fn banks_near_into(&self, anchor: Tile, n: usize, out: &mut Vec<Tile>) -> bool {
+        out.clear();
+        if n == 0 {
+            return true;
+        }
         let (ar, ac) = (i32::from(anchor.row), i32::from(anchor.col));
         let (last_row, last_col) = (i32::from(self.rows) - 1, i32::from(self.cols) - 1);
         // The farthest tile is a corner of the grid.
         let col_reach = ac.max(last_col - ac);
         let reach = ar.max(last_row - ar) + col_reach;
-        let mut found = Vec::new();
+        // A row adds at most two banks before the check below.
+        out.reserve(n.min(self.total_banks()) + 1);
         for d in 0..=reach {
             // Ring d's tiles in rows nearer the anchor than `gap` lie past
             // the grid's last column on both sides: skip those rows.
@@ -185,23 +219,24 @@ impl Chip {
             let below = top.max(ar + gap.max(1))..=bottom;
             for r in above.chain(below) {
                 let dc = d - (r - ar).abs();
-                let row = &self.occupied[r as usize];
+                let start = r as usize * usize::from(self.cols);
+                let row = &self.occupied[start..start + usize::from(self.cols)];
                 let right = (dc > 0).then_some(ac + dc);
                 for c in std::iter::once(ac - dc).chain(right) {
                     if (0..=last_col).contains(&c)
                         && self.kind_at(r as u16, c as u16) == TileKind::CacheBank
                         && !row[c as usize]
                     {
-                        found.push(self.tile(r as u16, c as u16));
+                        out.push(self.tile(r as u16, c as u16));
                     }
                 }
-                if found.len() >= n {
-                    found.truncate(n);
-                    return Some(found);
+                if out.len() >= n {
+                    out.truncate(n);
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
     /// Slice fragmentation: `1 - largest_free_run / free_slices`, the
@@ -212,7 +247,7 @@ impl Chip {
     #[must_use]
     pub fn slice_fragmentation(&self) -> f64 {
         let (mut free, mut largest) = (0usize, 0usize);
-        for row in &self.occupied {
+        for row in self.occupancy_rows() {
             let mut run = 0usize;
             // Slices sit in the even columns.
             for &taken in row.iter().step_by(2) {

@@ -75,6 +75,8 @@ pub struct Cloud {
     chips: Vec<Hypervisor>,
     policy: PlacementPolicy,
     denials: u64,
+    /// Scratch for [`Cloud::candidate_order`], kept between leases.
+    order: Vec<usize>,
 }
 
 impl Cloud {
@@ -92,6 +94,7 @@ impl Cloud {
                 .collect(),
             policy,
             denials: 0,
+            order: Vec::new(),
         }
     }
 
@@ -111,25 +114,27 @@ impl Cloud {
         &self.chips[chip]
     }
 
-    /// Chips with enough free Slices and banks for `shape`, in the order
-    /// the policy tries them (a stable sort, so ties keep chip order).
-    fn candidate_order(&self, shape: VCoreShape) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.chips.len())
-            .filter(|&i| {
-                let hv = &self.chips[i];
-                hv.free_slices() >= shape.slices && hv.free_banks() >= shape.l2_banks
-            })
-            .collect();
+    /// Fills `order` with the chips with enough free Slices and banks
+    /// for `shape`, in the order the policy tries them; ties keep chip
+    /// order.
+    fn candidate_order(&self, shape: VCoreShape, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend((0..self.chips.len()).filter(|&i| {
+            let hv = &self.chips[i];
+            hv.free_slices() >= shape.slices && hv.free_banks() >= shape.l2_banks
+        }));
+        // The chip index breaks ties, so an unstable sort, which
+        // allocates no buffer, gives the stable order.
         match self.policy {
             PlacementPolicy::FirstFit => {}
             PlacementPolicy::BestFit => {
-                order.sort_by_key(|&i| self.chips[i].free_slices());
+                order.sort_unstable_by_key(|&i| (self.chips[i].free_slices(), i));
             }
             PlacementPolicy::WorstFit => {
-                order.sort_by_key(|&i| std::cmp::Reverse(self.chips[i].free_slices()));
+                order
+                    .sort_unstable_by_key(|&i| (std::cmp::Reverse(self.chips[i].free_slices()), i));
             }
         }
-        order
     }
 
     /// Routes a VCore request to a chip under the placement policy
@@ -140,16 +145,29 @@ impl Cloud {
     ///
     /// Returns the final chip's error when no chip can host the request.
     pub fn lease(&mut self, shape: VCoreShape) -> Result<CloudLease, HvError> {
-        let order = self.candidate_order(shape);
+        let mut order = std::mem::take(&mut self.order);
+        self.candidate_order(shape, &mut order);
+        let placed = self.lease_in_order(shape, &order);
+        self.order = order;
+        placed
+    }
+
+    /// Tries the chips of `order` in turn, then compacts each and tries
+    /// it again.
+    fn lease_in_order(
+        &mut self,
+        shape: VCoreShape,
+        order: &[usize],
+    ) -> Result<CloudLease, HvError> {
         let mut last_err = HvError::NoContiguousSlices(shape.slices);
-        for &i in &order {
+        for &i in order {
             match self.chips[i].lease(shape) {
                 Ok(lease) => return Ok(CloudLease { chip: i, lease }),
                 Err(e) => last_err = e,
             }
         }
         // Second pass: defragment candidates and retry.
-        for &i in &order {
+        for &i in order {
             if self.chips[i].compact() > 0 {
                 if let Ok(lease) = self.chips[i].lease(shape) {
                     return Ok(CloudLease { chip: i, lease });
@@ -170,7 +188,10 @@ impl Cloud {
     ///
     /// Panics if the chip index is out of range.
     pub fn release(&mut self, lease: CloudLease) -> Result<(), HvError> {
-        self.chips[lease.chip].release(lease.lease).map(|_| ())
+        let hv = &mut self.chips[lease.chip];
+        let released = hv.release(lease.lease)?;
+        hv.recycle(released);
+        Ok(())
     }
 
     /// Fleet-wide statistics.
@@ -362,8 +383,10 @@ mod tests {
                 for s in 1..=8 {
                     for b in [0, 1, 3, 8] {
                         let sh = shape(s, b);
+                        let mut order = vec![usize::MAX];
+                        cloud.candidate_order(sh, &mut order);
                         assert_eq!(
-                            cloud.candidate_order(sh),
+                            order,
                             reference_order(&cloud, sh),
                             "seed {seed} step {step} shape {sh}"
                         );

@@ -102,6 +102,8 @@ pub struct Hypervisor {
     costs: ReconfigCosts,
     reconfig_cycles: u64,
     denials: u64,
+    /// Tile buffers of recycled leases, for the next leases to fill.
+    spare: Vec<Vec<Tile>>,
 }
 
 impl Hypervisor {
@@ -117,6 +119,7 @@ impl Hypervisor {
             costs: ReconfigCosts::paper(),
             reconfig_cycles: 0,
             denials: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -174,24 +177,26 @@ impl Hypervisor {
     /// [`HvError::NoContiguousSlices`] or [`HvError::InsufficientBanks`]
     /// when the chip cannot satisfy the request.
     pub fn lease(&mut self, shape: VCoreShape) -> Result<LeaseId, HvError> {
-        let slices = match self.chip.find_slice_run(shape.slices) {
-            Some(s) => s,
-            None => {
-                self.denials += 1;
-                return Err(HvError::NoContiguousSlices(shape.slices));
-            }
+        let mut slices = self.spare.pop().unwrap_or_default();
+        let mut banks = self.spare.pop().unwrap_or_default();
+        let found = if !self.chip.slice_run_into(shape.slices, &mut slices) {
+            Err(HvError::NoContiguousSlices(shape.slices))
+        } else if !self
+            .chip
+            .banks_near_into(slices[0], shape.l2_banks, &mut banks)
+        {
+            Err(HvError::InsufficientBanks {
+                wanted: shape.l2_banks,
+                free: self.free_banks(),
+            })
+        } else {
+            Ok(())
         };
-        let anchor = slices[0];
-        let banks = match self.chip.find_banks_near(anchor, shape.l2_banks) {
-            Some(b) => b,
-            None => {
-                self.denials += 1;
-                return Err(HvError::InsufficientBanks {
-                    wanted: shape.l2_banks,
-                    free: self.free_banks(),
-                });
-            }
-        };
+        if let Err(e) = found {
+            self.denials += 1;
+            self.spare.extend([slices, banks]);
+            return Err(e);
+        }
         self.occupy(&slices, &banks, true);
         let id = LeaseId(self.next_id);
         self.next_id += 1;
@@ -235,6 +240,12 @@ impl Hypervisor {
             self.costs.cache_change
         };
         Ok(lease)
+    }
+
+    /// Keeps a released lease's tile buffers for later leases to fill, so
+    /// a chip whose VCores come and go stops allocating for them.
+    pub(crate) fn recycle(&mut self, lease: Lease) {
+        self.spare.extend([lease.slices, lease.banks]);
     }
 
     /// Reconfigures a live lease to a new shape in place (releases and

@@ -20,30 +20,35 @@
 //! price step over an unchanged surface. A bidder therefore bids a
 //! [`UtilityTable`] — its surface's `P^k` in surface order, built once
 //! and shared by every bidder with the same surface and utility — and a
-//! price step costs one reciprocal per shape of the grid, one scan per
-//! distinct table, and a few candidate rows per bidder. The arithmetic
-//! and the tie rule are the ones `best_utility` uses, so the choice is
-//! the same to the bit.
+//! price step costs, per distinct table, the few rows that can win at
+//! the step's price ratio, and a few candidate rows per bidder. The
+//! arithmetic and the tie rule are the ones `best_utility` uses, so the
+//! choice is the same to the bit.
 
 use crate::market::Market;
 use crate::surface::PerfSurface;
 use crate::utility::UtilityFn;
 use sharing_core::VCoreShape;
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The price-independent half of a bidder's utility: `P^k` of one
 /// surface under one utility function, row by row in surface order.
 ///
-/// Rows are laid out on a shape grid that tables share by reference, so
-/// a price step computes each shape's cost once for all of them.
+/// Only the ratio `ρ` of the bank price to the Slice price moves the
+/// order of the rows' `P^k / cost`, so the table also keeps, for each
+/// interval of `ρ` between two cuts, the rows that can win there.
 #[derive(Clone, Debug)]
 pub struct UtilityTable {
     grid: Arc<[VCoreShape]>,
     pk: Vec<f64>,
-    /// The rows a price step scans, in row order: every row but those
-    /// another row beats by [`CONTENDER_MARGIN`] at every price.
-    contenders: Vec<usize>,
+    /// Price-ratio cuts, ascending: segment `i` spans the ratios in
+    /// `[cuts[i − 1], cuts[i])`, from 0 before the first cut and to ∞
+    /// after the last.
+    cuts: Vec<f64>,
+    /// Segment `i`'s rows, in row order, are `rows[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
 }
 
 impl UtilityTable {
@@ -62,30 +67,119 @@ impl UtilityTable {
             surface.name()
         );
         let pk: Vec<f64> = surface.iter().map(|(_, p)| utility.perf_power(p)).collect();
+        let spans = contender_spans(grid, &pk);
+        let mut cuts: Vec<f64> = spans
+            .iter()
+            .flat_map(|&(_, lo, hi)| [lo, hi])
+            .filter(|&c| c > 0.0 && c.is_finite())
+            .collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        let mut starts = vec![0];
+        let mut rows = Vec::new();
+        for i in 0..=cuts.len() {
+            let from = if i == 0 { 0.0 } else { cuts[i - 1] };
+            let to = cuts.get(i).copied().unwrap_or(f64::INFINITY);
+            rows.extend(
+                spans
+                    .iter()
+                    .filter(|&&(_, lo, hi)| lo < to && hi > from)
+                    .map(|&(k, _, _)| k),
+            );
+            starts.push(rows.len());
+        }
         UtilityTable {
             grid: Arc::clone(grid),
-            contenders: contenders(grid, &pk),
             pk,
+            cuts,
+            starts,
+            rows,
+        }
+    }
+
+    /// The rows of the segment holding the price ratio `rho`.
+    fn rows_at(&self, rho: f64) -> &[usize] {
+        let i = self.cuts.partition_point(|&c| c <= rho);
+        &self.rows[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Appends the rows a bidder with a budget in [`TAME_BUDGET`] may
+    /// choose at `market`'s prices to `candidates`, in row order: the
+    /// rows whose `q_k = P^k · (1 / c_k)` lies within
+    /// [`CANDIDATE_MARGIN`] of the table's best, or every row when that
+    /// best is outside [`TAME_Q`] (an all-zero table, say). `q` is
+    /// scratch.
+    ///
+    /// Why no other row can win or tie for a bidder with a budget `B` in
+    /// [`TAME_BUDGET`]: prices are clamped to `[1e-3, 1e6]` and a shape
+    /// has at most 8 Slices and 128 banks, so every cost `c_k` lies in
+    /// `[1e-3, 1.4e8]` and every quotient `B / c_k` is a normal number.
+    /// With `r_k = P^k / c_k` exactly and ε = 2⁻⁵³, `q_k` is within
+    /// about 2ε of `r_k`, and so is the bidder's `u_k = (B / c_k) · P^k`
+    /// of `B · r_k`, while the best row's `u*` is a normal number
+    /// (`B · r*` lies in about `[1e-288, 1e288]`). A row below the band
+    /// has `r_k < r* (1 − 1e-9 + 6ε)`, so `u_k < u*` strictly: the
+    /// margin is over a million times the rounding. A row whose `q_k`
+    /// underflows has `B · r_k` below `1e-289`, under `u*` again. So the
+    /// last of the bidder's best rows in row order is always a candidate,
+    /// and scanning candidates alone, in row order, picks it.
+    ///
+    /// Only the rows of the segment holding `ρ` are costed. A row left
+    /// out lies [`CONTENDER_MARGIN`] below some row at `ρ` (see
+    /// [`contender_spans`]), and that row is in the segment or lies
+    /// below another in turn, so the best row is in the segment, `q_max`
+    /// is the one a scan of every row finds, and no row left out
+    /// reaches the band.
+    ///
+    /// `>` orders every `q_k` but a NaN, and a NaN, which fails every
+    /// `>`, is passed over as `f64::max` passes it over.
+    fn scan(&self, market: &Market, q: &mut Vec<f64>, candidates: &mut Vec<usize>) {
+        let rows = self.rows_at(market.bank_price / market.slice_price);
+        q.clear();
+        q.extend(
+            rows.iter()
+                .map(|&k| self.pk[k] * (1.0 / market.vcore_cost(self.grid[k]))),
+        );
+        let q_max = q
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &q| if q > m { q } else { m });
+        if TAME_Q.contains(&q_max) {
+            let floor = q_max - q_max * CANDIDATE_MARGIN;
+            candidates.extend(
+                rows.iter()
+                    .zip(q.iter())
+                    .filter(|&(_, &q)| q >= floor)
+                    .map(|(&k, _)| k),
+            );
+        } else {
+            candidates.extend(0..self.pk.len());
         }
     }
 }
 
-/// The rows of `pk` that no other row beats by [`CONTENDER_MARGIN`] at
-/// every price, in row order.
+/// Each row of `pk` that no other row beats by [`CONTENDER_MARGIN`] at
+/// every price, in row order, with the price ratios where it may hold
+/// the band: `(row, lo, hi)`, the open interval `(lo, hi)` holding
+/// `[below, above]` widened by a relative [`SEGMENT_SLACK`].
 ///
 /// Only the ratio `ρ` of the bank price to the Slice price moves the
 /// order of the rows' `P^k / cost`. Row `j` beats row `k` by the margin
 /// where `(1 − margin) P^j (s_k + ρ b_k) − P^k (s_j + ρ b_j) = a + b ρ`
-/// is positive: at every `ρ ≥ 0`, below `−a / b`, or above it. A row is
-/// left out only when those sets cover every `ρ ≥ 0`. A NaN fails every
-/// comparison, so it leaves a row in.
-fn contenders(grid: &[VCoreShape], pk: &[f64]) -> Vec<usize> {
+/// is positive: at every `ρ ≥ 0`, below `−a / b`, or above it. Row `k`
+/// is beaten on `[0, below)` and on `(above, ∞)`; it is left out when
+/// those sets cover every `ρ ≥ 0`. A NaN fails every comparison, so it
+/// leaves a row in, over every `ρ`.
+///
+/// The slack covers the rounding of `ρ = bank price / Slice price` and
+/// of each cut, both within a few ε: past a cut by more than that, the
+/// row that set the cut beats row `k` by the margin less a few ε, so
+/// row `k` stays a thousand times the band below it.
+fn contender_spans(grid: &[VCoreShape], pk: &[f64]) -> Vec<(usize, f64, f64)> {
     let keep = 1.0 - CONTENDER_MARGIN;
     let size = |k: usize| (grid[k].slices as f64, grid[k].l2_banks as f64);
     (0..pk.len())
-        .filter(|&k| {
+        .filter_map(|k| {
             let (sk, bk) = size(k);
-            // Beaten on `[0, below)` and on `(above, ∞)`.
             let mut below = 0.0f64;
             let mut above = f64::INFINITY;
             for (j, &pj) in pk.iter().enumerate() {
@@ -93,14 +187,18 @@ fn contenders(grid: &[VCoreShape], pk: &[f64]) -> Vec<usize> {
                 let a = keep * pj * sk - pk[k] * sj;
                 let b = keep * pj * bk - pk[k] * bj;
                 if a > 0.0 && b >= 0.0 {
-                    return false;
+                    return None;
                 } else if a > 0.0 && b < 0.0 {
                     below = below.max(a / -b);
                 } else if b > 0.0 && a <= 0.0 {
                     above = above.min(-a / b);
                 }
             }
-            below <= above
+            (below <= above).then_some((
+                k,
+                below * (1.0 - SEGMENT_SLACK),
+                above * (1.0 + SEGMENT_SLACK),
+            ))
         })
         .collect()
 }
@@ -128,7 +226,7 @@ pub struct Allocation {
 }
 
 /// The auction outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Clearing {
     /// Clearing price per Slice.
     pub slice_price: f64,
@@ -154,11 +252,20 @@ impl Clearing {
 }
 
 /// The provider's auction over one chip's resources.
+///
+/// An auction may clear many times, with its bidders replaced in
+/// between (a datacenter clears one every epoch): it keeps its buffers,
+/// so a clearing allocates only where its bidders outgrow the last.
 #[derive(Clone, Debug)]
 pub struct Auction {
     supply_slices: f64,
     supply_banks: f64,
     bidders: Vec<Bidder>,
+    book: Book,
+    /// The allocations of the price step being tried.
+    step: Vec<Allocation>,
+    /// The best price step of the last clearing.
+    best: Clearing,
 }
 
 impl Auction {
@@ -177,6 +284,9 @@ impl Auction {
             supply_slices,
             supply_banks,
             bidders: Vec::new(),
+            book: Book::default(),
+            step: Vec::new(),
+            best: Clearing::default(),
         }
     }
 
@@ -184,6 +294,11 @@ impl Auction {
     pub fn add_bidder(&mut self, bidder: Bidder) -> &mut Self {
         self.bidders.push(bidder);
         self
+    }
+
+    /// Removes every bidder, keeping the buffers for the next clearing.
+    pub fn remove_bidders(&mut self) {
+        self.bidders.clear();
     }
 
     /// Number of registered bidders.
@@ -203,34 +318,30 @@ impl Auction {
     /// Panics if there are no bidders, `tolerance` is not positive,
     /// `max_iterations` is zero, or a budget is not positive and finite.
     #[must_use]
-    pub fn clear(&self, max_iterations: usize, tolerance: f64) -> Clearing {
+    pub fn clear(&mut self, max_iterations: usize, tolerance: f64) -> &Clearing {
         assert!(!self.bidders.is_empty(), "auction needs bidders");
         assert!(tolerance > 0.0 && max_iterations > 0);
+        self.book.group(&self.bidders);
         // Start from equal-area prices (Market 2).
         let mut ps = Market::MARKET2.slice_price;
         let mut pb = Market::MARKET2.bank_price;
-        let mut best: Option<(f64, Clearing)> = None;
-        let mut book = Book::new(&self.bidders);
-        let mut allocations = Vec::with_capacity(self.bidders.len());
+        let mut best_err: Option<f64> = None;
         for iteration in 1..=max_iterations {
-            let (sd, bd) = book.demand_at(ps, pb, &mut allocations);
+            let (sd, bd) = self.book.demand_at(&self.bidders, ps, pb, &mut self.step);
             // Distance from clearing, in relative excess-demand terms.
             let s_ratio = sd / self.supply_slices;
             let b_ratio = bd / self.supply_banks;
             let err = (s_ratio - 1.0).abs().max((b_ratio - 1.0).abs());
-            if best.as_ref().is_none_or(|(e, _)| err < *e) {
+            if best_err.is_none_or(|e| err < e) {
+                best_err = Some(err);
                 // The kept clearing takes this step's allocations, and the
                 // next step refills the buffer it held before.
-                let spare = best.take().map_or_else(Vec::new, |(_, c)| c.allocations);
-                let clearing = Clearing {
-                    slice_price: ps,
-                    bank_price: pb,
-                    iterations: iteration,
-                    slice_demand: sd,
-                    bank_demand: bd,
-                    allocations: std::mem::replace(&mut allocations, spare),
-                };
-                best = Some((err, clearing));
+                std::mem::swap(&mut self.step, &mut self.best.allocations);
+                self.best.slice_price = ps;
+                self.best.bank_price = pb;
+                self.best.iterations = iteration;
+                self.best.slice_demand = sd;
+                self.best.bank_demand = bd;
             }
             if err <= tolerance {
                 break;
@@ -240,101 +351,84 @@ impl Auction {
             ps = (ps * s_ratio.powf(0.5)).clamp(1e-3, 1e6);
             pb = (pb * b_ratio.powf(0.5)).clamp(1e-3, 1e6);
         }
-        best.expect("at least one iteration ran").1
+        &self.best
     }
 }
 
 /// Relative width of a table's candidate band below its best
-/// `P^k / cost`; see [`TableScan::scan`] for why it is exact.
+/// `P^k / cost`; see [`UtilityTable::scan`] for why it is exact.
 const CANDIDATE_MARGIN: f64 = 1e-9;
 /// How far below another row's `P^k / cost`, at every price, a row
 /// must lie to be left out of a table's scan: a thousand times the
 /// candidate band, so rounding cannot carry a left-out row into it.
 const CONTENDER_MARGIN: f64 = 1e-6;
+/// Relative widening of each row's price-ratio interval, over a million
+/// times the rounding of a ratio or a cut.
+const SEGMENT_SLACK: f64 = 1e-9;
 /// Range of a table's best `P^k / cost` inside which the band applies.
 const TAME_Q: std::ops::RangeInclusive<f64> = 1e-270..=1e270;
 /// Range of budgets the band applies to.
 const TAME_BUDGET: std::ops::RangeInclusive<f64> = 1e-18..=1e18;
 
-/// One clearing's bidders grouped by grid and table, with the buffers
-/// every price step refills.
-struct Book<'a> {
-    grids: Vec<GridCosts<'a>>,
-    tables: Vec<TableScan<'a>>,
-    /// Per bidder, in bidder order: its table's index, its budget, and
-    /// whether the budget lies in [`TAME_BUDGET`].
-    bidders: Vec<(usize, f64, bool)>,
-}
-
-/// Every shape's cost, and its reciprocal, at the current prices.
-struct GridCosts<'a> {
-    shapes: &'a [VCoreShape],
-    cost: Vec<f64>,
-    inv: Vec<f64>,
-}
-
-/// One distinct table and the rows of it a bidder may still choose.
-struct TableScan<'a> {
-    grid: usize,
-    pk: &'a [f64],
-    /// The table's contenders, the only rows the band can hold.
-    rows: &'a [usize],
-    /// Each contender's `q_k` at the current prices.
-    q: Vec<f64>,
+/// One clearing's bidders grouped by table, with the buffers every
+/// price step refills.
+#[derive(Clone, Debug, Default)]
+struct Book {
+    /// Per distinct table: a bidder that bids it, and the range of its
+    /// candidates in `candidates`.
+    tables: Vec<(usize, Range<usize>)>,
+    /// Per bidder, in bidder order: its table's index in `tables`, and
+    /// whether its budget lies in [`TAME_BUDGET`].
+    bidders: Vec<(usize, bool)>,
+    /// Each bidder's table address and index, sorted to group them.
+    by_table: Vec<(usize, usize)>,
+    /// Every table's candidates at the current prices.
     candidates: Vec<usize>,
+    /// Scratch for [`UtilityTable::scan`].
+    q: Vec<f64>,
 }
 
-impl<'a> Book<'a> {
-    /// Groups bidders by table and tables by grid, both by `Arc`
-    /// identity.
+impl Book {
+    /// Groups `bidders` by table, by `Arc` identity.
     ///
     /// # Panics
     ///
     /// Panics if a budget is not positive and finite, as
     /// [`crate::optimize::best_utility`] does.
-    fn new(bidders: &'a [Bidder]) -> Self {
-        let mut grid_ids: HashMap<*const VCoreShape, usize> = HashMap::new();
-        let mut table_ids: HashMap<*const UtilityTable, usize> = HashMap::new();
-        let mut book = Book {
-            grids: Vec::new(),
-            tables: Vec::new(),
-            bidders: Vec::with_capacity(bidders.len()),
-        };
-        for b in bidders {
-            assert!(
-                b.budget > 0.0 && b.budget.is_finite(),
-                "budget must be positive and finite"
+    fn group(&mut self, bidders: &[Bidder]) {
+        self.by_table.clear();
+        self.by_table
+            .extend(bidders.iter().enumerate().map(|(i, b)| {
+                assert!(
+                    b.budget > 0.0 && b.budget.is_finite(),
+                    "budget must be positive and finite"
+                );
+                (Arc::as_ptr(&b.table) as usize, i)
+            }));
+        self.by_table.sort_unstable();
+        self.tables.clear();
+        self.bidders.clear();
+        self.bidders.resize(bidders.len(), (0, false));
+        let mut last = None;
+        for &(table, i) in &self.by_table {
+            if last != Some(table) {
+                last = Some(table);
+                self.tables.push((i, 0..0));
+            }
+            self.bidders[i] = (
+                self.tables.len() - 1,
+                TAME_BUDGET.contains(&bidders[i].budget),
             );
-            let table = *table_ids.entry(Arc::as_ptr(&b.table)).or_insert_with(|| {
-                let shapes: &[VCoreShape] = &b.table.grid;
-                let grid = *grid_ids.entry(shapes.as_ptr()).or_insert_with(|| {
-                    book.grids.push(GridCosts {
-                        shapes,
-                        cost: vec![0.0; shapes.len()],
-                        inv: vec![0.0; shapes.len()],
-                    });
-                    book.grids.len() - 1
-                });
-                book.tables.push(TableScan {
-                    grid,
-                    pk: &b.table.pk,
-                    rows: &b.table.contenders,
-                    q: Vec::with_capacity(b.table.contenders.len()),
-                    candidates: Vec::with_capacity(shapes.len()),
-                });
-                book.tables.len() - 1
-            });
-            book.bidders
-                .push((table, b.budget, TAME_BUDGET.contains(&b.budget)));
         }
-        book
     }
 
-    /// Aggregate demand at posted prices, with every bidder's allocation
-    /// written to `out` in bidder order. Each bidder takes the row of
-    /// highest `v · P^k`, the last of equals, as `best_utility` does.
+    /// Aggregate demand of `bidders`, the ones last grouped, at posted
+    /// prices, with every bidder's allocation written to `out` in bidder
+    /// order. Each bidder takes the row of highest `v · P^k`, the last of
+    /// equals, as `best_utility` does.
     fn demand_at(
         &mut self,
+        bidders: &[Bidder],
         slice_price: f64,
         bank_price: f64,
         out: &mut Vec<Allocation>,
@@ -344,31 +438,36 @@ impl<'a> Book<'a> {
             slice_price,
             bank_price,
         };
-        for g in &mut self.grids {
-            for ((c, inv), &shape) in g.cost.iter_mut().zip(&mut g.inv).zip(g.shapes) {
-                *c = market.vcore_cost(shape);
-                *inv = 1.0 / *c;
-            }
-        }
-        for t in &mut self.tables {
-            t.scan(&self.grids[t.grid].inv);
+        self.candidates.clear();
+        for (bidder, range) in &mut self.tables {
+            let start = self.candidates.len();
+            bidders[*bidder]
+                .table
+                .scan(&market, &mut self.q, &mut self.candidates);
+            *range = start..self.candidates.len();
         }
         out.clear();
         let mut slices = 0.0;
         let mut banks = 0.0;
-        for &(table, budget, tame) in &self.bidders {
-            let t = &self.tables[table];
-            let g = &self.grids[t.grid];
-            let utility_of = |k: usize| (k, (budget / g.cost[k]).max(0.0) * t.pk[k]);
-            let pick = |x: &(usize, f64), y: &(usize, f64)| x.1.total_cmp(&y.1);
-            let (k, utility) = if tame {
-                t.candidates.iter().map(|&k| utility_of(k)).max_by(pick)
+        for (b, &(table, tame)) in bidders.iter().zip(&self.bidders) {
+            let t = &b.table;
+            let utility_of = |k: usize| {
+                let cost = market.vcore_cost(t.grid[k]);
+                (k, cost, (b.budget / cost).max(0.0) * t.pk[k])
+            };
+            let pick = |x: &(usize, f64, f64), y: &(usize, f64, f64)| x.2.total_cmp(&y.2);
+            let (k, cost, utility) = if tame {
+                let range = self.tables[table].1.clone();
+                self.candidates[range]
+                    .iter()
+                    .map(|&k| utility_of(k))
+                    .max_by(pick)
             } else {
                 (0..t.pk.len()).map(utility_of).max_by(pick)
             }
             .expect("surfaces are non-empty");
-            let shape = g.shapes[k];
-            let v = budget / g.cost[k];
+            let shape = t.grid[k];
+            let v = b.budget / cost;
             slices += v * shape.slices as f64;
             banks += v * shape.l2_banks as f64;
             out.push(Allocation {
@@ -378,69 +477,6 @@ impl<'a> Book<'a> {
             });
         }
         (slices, banks)
-    }
-}
-
-impl TableScan<'_> {
-    /// Keeps the rows whose `q_k = P^k · (1 / c_k)` lies within
-    /// [`CANDIDATE_MARGIN`] of the table's best, or every row when that
-    /// best is outside [`TAME_Q`] (an all-zero table, say).
-    ///
-    /// Why no other row can win or tie for a bidder with a budget `B` in
-    /// [`TAME_BUDGET`]: prices are clamped to `[1e-3, 1e6]` and a shape
-    /// has at most 8 Slices and 128 banks, so every cost `c_k` lies in
-    /// `[1e-3, 1.4e8]` and every quotient `B / c_k` is a normal number.
-    /// With `r_k = P^k / c_k` exactly and ε = 2⁻⁵³, `q_k` is within
-    /// about 2ε of `r_k`, and so is the bidder's `u_k = (B / c_k) · P^k`
-    /// of `B · r_k`, while the best row's `u*` is a normal number
-    /// (`B · r*` lies in about `[1e-288, 1e288]`). A row below the band
-    /// has `r_k < r* (1 − 1e-9 + 6ε)`, so `u_k < u*` strictly: the
-    /// margin is over a million times the rounding. A row whose `q_k`
-    /// underflows has `B · r_k` below `1e-289`, under `u*` again. So the
-    /// last of the bidder's best rows in row order is always a candidate,
-    /// and scanning candidates alone, in row order, picks it.
-    ///
-    /// Only the contenders are scanned. A row left out lies
-    /// [`CONTENDER_MARGIN`] below some row at these prices, and that row
-    /// is a contender or lies below one in turn, so the best row is a
-    /// contender, `q_max` is the one a scan of every row finds, and no
-    /// row left out reaches the band.
-    ///
-    /// Each `q_k` is computed once, and its maximum is folded over four
-    /// lanes, which the compiler can vectorize. The order does not move
-    /// the result: `>` orders every `q_k` but a NaN, and a NaN, which
-    /// fails every `>`, is passed over as `f64::max` passes it over. Only
-    /// the sign of a zero maximum could differ, and zero lies outside
-    /// [`TAME_Q`] either way.
-    fn scan(&mut self, inv: &[f64]) {
-        self.q.clear();
-        self.q
-            .extend(self.rows.iter().map(|&k| self.pk[k] * inv[k]));
-        let mut lanes = [f64::NEG_INFINITY; 4];
-        let mut quads = self.q.chunks_exact(4);
-        for quad in &mut quads {
-            for (m, &q) in lanes.iter_mut().zip(quad) {
-                *m = if q > *m { q } else { *m };
-            }
-        }
-        let q_max = quads
-            .remainder()
-            .iter()
-            .chain(&lanes)
-            .fold(f64::NEG_INFINITY, |m, &q| if q > m { q } else { m });
-        self.candidates.clear();
-        if TAME_Q.contains(&q_max) {
-            let floor = q_max - q_max * CANDIDATE_MARGIN;
-            self.candidates.extend(
-                self.rows
-                    .iter()
-                    .zip(&self.q)
-                    .filter(|&(_, &q)| q >= floor)
-                    .map(|(&k, _)| k),
-            );
-        } else {
-            self.candidates.extend(0..self.pk.len());
-        }
     }
 }
 
@@ -499,7 +535,7 @@ mod tests {
             let mut a = Auction::new(slices, 128.0);
             a.add_bidder(bidder(1.5, 0.2, 100.0));
             a.add_bidder(bidder(1.2, 0.3, 100.0));
-            a.clear(200, 0.05)
+            a.clear(200, 0.05).clone()
         };
         let scarce = mk(16.0);
         let plentiful = mk(256.0);
@@ -527,11 +563,12 @@ mod tests {
     #[test]
     fn demand_substitutes_away_from_expensive_resources() {
         let bidders = [bidder(1.0, 1.0, 100.0)];
-        let mut book = Book::new(&bidders);
+        let mut book = Book::default();
+        book.group(&bidders);
         let mut out = Vec::new();
         // At slice-heavy prices the bidder buys relatively more banks.
-        let (s_cheap_slices, b_cheap_slices) = book.demand_at(1.0, 8.0, &mut out);
-        let (s_dear_slices, b_dear_slices) = book.demand_at(8.0, 1.0, &mut out);
+        let (s_cheap_slices, b_cheap_slices) = book.demand_at(&bidders, 1.0, 8.0, &mut out);
+        let (s_dear_slices, b_dear_slices) = book.demand_at(&bidders, 8.0, 1.0, &mut out);
         let ratio_cheap = s_cheap_slices / b_cheap_slices.max(1e-9);
         let ratio_dear = s_dear_slices / b_dear_slices.max(1e-9);
         assert!(
@@ -553,7 +590,8 @@ mod tests {
     /// rows.
     fn assert_matches_best_utility(cases: &[Case], prices: &[(f64, f64)]) -> usize {
         let bidders: Vec<Bidder> = cases.iter().map(|c| c.bidder.clone()).collect();
-        let mut book = Book::new(&bidders);
+        let mut book = Book::default();
+        book.group(&bidders);
         let mut out = Vec::new();
         let mut multi = 0;
         for &(ps, pb) in prices {
@@ -562,12 +600,8 @@ mod tests {
                 slice_price: ps,
                 bank_price: pb,
             };
-            book.demand_at(ps, pb, &mut out);
-            multi += book
-                .tables
-                .iter()
-                .filter(|t| t.candidates.len() >= 2)
-                .count();
+            book.demand_at(&bidders, ps, pb, &mut out);
+            multi += book.tables.iter().filter(|(_, c)| c.len() >= 2).count();
             for (case, alloc) in cases.iter().zip(&out) {
                 let budget = case.bidder.budget;
                 let chosen = best_utility(&case.surface, case.utility, &market, budget);
@@ -630,9 +664,9 @@ mod tests {
         assert_matches_best_utility(&cases, &prices);
     }
 
-    /// On smooth surfaces the scan leaves most rows out, and every row
+    /// On smooth surfaces the segments leave most rows out, and every row
     /// the band holds at some price, found by brute force over prices
-    /// across the clamp range, is a contender.
+    /// across the clamp range, lies in some segment.
     #[test]
     fn contenders_hold_every_row_the_band_can_reach() {
         let grid = grid();
@@ -641,10 +675,12 @@ mod tests {
             let utility = ALL_UTILITIES[round % 3];
             let s = surface(0.1 + 2.0 * rng.f64(), 0.1 + 3.0 * rng.f64());
             let table = UtilityTable::new(&grid, &s, utility);
+            let contenders: std::collections::BTreeSet<usize> =
+                table.rows.iter().copied().collect();
             assert!(
-                table.contenders.len() < grid.len() / 2,
+                contenders.len() < grid.len() / 2,
                 "{} of {} rows kept",
-                table.contenders.len(),
+                contenders.len(),
                 grid.len()
             );
             for _ in 0..500 {
@@ -661,11 +697,92 @@ mod tests {
                 let best = q.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 for (k, &qk) in q.iter().enumerate() {
                     if qk >= best * (1.0 - CANDIDATE_MARGIN) {
-                        assert!(table.contenders.contains(&k), "row {k} at {market:?}");
+                        assert!(contenders.contains(&k), "row {k} at {market:?}");
                     }
                 }
             }
         }
+    }
+
+    /// Seeded differential test of the price-ratio segments on tame
+    /// surfaces, smooth and plateaued: at log-uniform price pairs across
+    /// the clamp range, and at every cut, one ulp either side of it and a
+    /// relative 1e-8 either side, the segment holding `ρ` holds every row
+    /// whose `q_k` lies within the band of the best over all rows, and the
+    /// scan's candidates are exactly the band a scan of every row keeps.
+    /// The segment also holds every row no other row beats by
+    /// [`CONTENDER_MARGIN`], less a thousandth of it: a segment narrower
+    /// than its rows' intervals fails here long before the band does.
+    #[test]
+    fn segments_hold_the_band_at_every_price_ratio() {
+        let grid = grid();
+        let mut rng = Rng64::seed_from_u64(0x5E6_0E47);
+        let (mut probes, mut segments, mut segment_rows) = (0usize, 0usize, 0usize);
+        for round in 0..24 {
+            let utility = ALL_UTILITIES[round % 3];
+            let (slice_love, cache_love) = (0.1 + 2.0 * rng.f64(), 0.1 + 3.0 * rng.f64());
+            let smooth = move |s: VCoreShape| {
+                (1.0 + slice_love * (s.slices as f64).ln())
+                    * (1.0 + cache_love * (1.0 + s.l2_banks as f64).ln() / 4.0)
+            };
+            let step = 0.25 + rng.f64();
+            let s = if round % 2 == 0 {
+                PerfSurface::from_fn("smooth", smooth)
+            } else {
+                PerfSurface::from_fn("plateau", move |s| (smooth(s) / step).ceil() * step)
+            };
+            let table = UtilityTable::new(&grid, &s, utility);
+            segments += table.starts.len() - 1;
+            segment_rows += table.rows.len();
+            // A Slice price of 1 makes the bank price the ratio itself.
+            let mut markets: Vec<Market> = table
+                .cuts
+                .iter()
+                .filter(|&&c| (1e-9..=1e9).contains(&c))
+                .flat_map(|&c| {
+                    [
+                        c * (1.0 - 1e-8),
+                        c.next_down(),
+                        c,
+                        c.next_up(),
+                        c * (1.0 + 1e-8),
+                    ]
+                })
+                .map(|rho| Market {
+                    name: "cut",
+                    slice_price: 1.0,
+                    bank_price: rho,
+                })
+                .collect();
+            markets.extend((0..200).map(|_| Market {
+                name: "drawn",
+                slice_price: log_uniform(&mut rng, 1e-3, 1e6),
+                bank_price: log_uniform(&mut rng, 1e-3, 1e6),
+            }));
+            let (mut q, mut candidates) = (Vec::new(), Vec::new());
+            for market in &markets {
+                let q_all: Vec<f64> = grid
+                    .iter()
+                    .zip(&table.pk)
+                    .map(|(&shape, p)| p * (1.0 / market.vcore_cost(shape)))
+                    .collect();
+                let best = q_all.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let floor = best - best * CANDIDATE_MARGIN;
+                let band: Vec<usize> = (0..q_all.len()).filter(|&k| q_all[k] >= floor).collect();
+                let rows = table.rows_at(market.bank_price / market.slice_price);
+                let unbeaten = best - best * CONTENDER_MARGIN * 0.999;
+                for k in (0..q_all.len()).filter(|&k| q_all[k] >= unbeaten) {
+                    assert!(rows.contains(&k), "round {round} row {k} at {market:?}");
+                }
+                candidates.clear();
+                table.scan(market, &mut q, &mut candidates);
+                assert_eq!(candidates, band, "round {round} at {market:?}");
+                probes += 1;
+            }
+        }
+        assert!(probes > 24 * 200, "only {probes} prices probed");
+        let per_segment = segment_rows as f64 / segments as f64;
+        assert!(per_segment < 2.0, "{per_segment:.2} rows per segment");
     }
 
     /// A log-uniform draw from `[lo, hi]`.

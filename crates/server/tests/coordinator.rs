@@ -288,6 +288,122 @@ fn slow_but_alive_worker_times_out_and_work_lands_on_the_survivor() {
     let _ = TcpStream::connect(slow_addr);
 }
 
+/// A worker that answers `hello` and `ping` but drops the connection on
+/// every job it is sent, as a job that kills its worker would. Returns
+/// its address and the count of job lines it has taken.
+fn dropping_worker() -> (
+    std::net::SocketAddr,
+    std::sync::Arc<std::sync::atomic::AtomicUsize>,
+) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind dropper");
+    let addr = listener.local_addr().unwrap();
+    let jobs = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&jobs);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+                let mut writer = stream;
+                loop {
+                    let mut line = String::new();
+                    match reader.read_line(&mut line) {
+                        Ok(0) | Err(_) => return,
+                        Ok(_) => {}
+                    }
+                    let reply = if line.contains("\"hello\"") {
+                        format!(
+                            "{{\"ok\":true,\"type\":\"hello\",\"proto\":{},\"min_proto\":{},\
+                             \"client_proto\":{}}}\n",
+                            sharing_server::PROTO_VERSION,
+                            sharing_server::MIN_PROTO,
+                            sharing_server::PROTO_VERSION,
+                        )
+                    } else if line.contains("\"ping\"") {
+                        "{\"ok\":true,\"type\":\"pong\"}\n".to_string()
+                    } else {
+                        // A job: count it and drop the connection unanswered.
+                        seen.fetch_add(1, Ordering::SeqCst);
+                        return;
+                    };
+                    if writer.write_all(reply.as_bytes()).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, jobs)
+}
+
+#[test]
+fn a_job_that_drops_every_worker_is_retried_a_bounded_number_of_times() {
+    use std::sync::atomic::Ordering;
+    const RETRIES: u32 = 3;
+    // One worker more than attempts, so every attempt finds a worker the
+    // pool still counts healthy.
+    let workers: Vec<_> = (0..=RETRIES + 1).map(|_| dropping_worker()).collect();
+    let coord = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_capacity: 4,
+        cache_capacity: 16,
+        remote_workers: workers.iter().map(|(a, _)| a.to_string()).collect(),
+        dispatch_retries: RETRIES,
+        ping_interval_ms: 100,
+        ..ServerConfig::default()
+    })
+    .expect("bind coordinator");
+
+    let started = std::time::Instant::now();
+    let mut stream = TcpStream::connect(coord.local_addr()).expect("connect");
+    stream
+        .write_all(b"{\"type\":\"run\",\"benchmark\":\"gcc\",\"len\":2000,\"seed\":3}\n")
+        .expect("send job");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("read reply");
+    let elapsed = started.elapsed();
+    let v = Json::parse(reply.trim()).expect("reply is JSON");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{reply}");
+    assert_eq!(
+        v.get("code").and_then(Json::as_str),
+        Some("worker_unavailable"),
+        "{reply}"
+    );
+
+    let taken: Vec<usize> = workers
+        .iter()
+        .map(|(_, jobs)| jobs.load(Ordering::SeqCst))
+        .collect();
+    let attempts: usize = taken.iter().sum();
+    assert_eq!(
+        attempts,
+        RETRIES as usize + 1,
+        "attempts per worker {taken:?}"
+    );
+    assert!(
+        taken.iter().all(|&n| n <= RETRIES as usize + 1),
+        "attempts per worker {taken:?}"
+    );
+    // Backoff doubles from 50 ms, so three retries sleep at most 350 ms;
+    // each refused exchange returns at once.
+    let max_retry_time = sharing_server::DispatchOpts::default().max_retry_time;
+    assert!(elapsed < max_retry_time, "{elapsed:?}");
+    assert!(elapsed < std::time::Duration::from_secs(5), "{elapsed:?}");
+    let text = metrics_text(coord.local_addr());
+    assert_eq!(
+        sample(&text, "ssimd_dispatch_retries_total"),
+        Some(f64::from(RETRIES)),
+        "{text}"
+    );
+    coord.stop();
+}
+
 #[test]
 fn coordinator_scrape_federates_worker_expositions_under_instance_labels() {
     let w1 = daemon();

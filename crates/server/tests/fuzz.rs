@@ -24,8 +24,8 @@
 
 use sharing_chaos::{FaultKind, FaultPlan, FaultRule};
 use sharing_dc::scenario::{
-    MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_CHIPS, MAX_COLS, MAX_DC_WORK, MAX_EPOCHS,
-    MAX_ROWS, MAX_TENANT_BENCHMARKS, MAX_TENANT_VCORES,
+    MAX_ARRIVAL_RATE, MAX_AUCTION_ITERATIONS, MAX_BENCHMARK_NAME_BYTES, MAX_CHIPS, MAX_COLS,
+    MAX_DC_WORK, MAX_EPOCHS, MAX_ROWS, MAX_TENANT_BENCHMARKS, MAX_TENANT_VCORES,
 };
 use sharing_dc::Scenario;
 use sharing_http::{HttpError, Limits, RequestParser};
@@ -467,9 +467,10 @@ fn dc_line(path: &str, value: &str) -> String {
 }
 
 /// Every capped scenario field at cap − 1, at its cap, past it and at
-/// ∞ (`1e999` parses to infinity), and the tenant benchmark list at its
-/// cap and one name past it, as `(path, value, accepted, cap)`; `cap` is
-/// what a refusal must name, when the value is of the field's type.
+/// ∞ (`1e999` parses to infinity), the tenant benchmark list at its cap
+/// and one name past it, and a listed name at its byte cap and one byte
+/// past it, as `(path, value, accepted, cap)`; `cap` is what a refusal
+/// must name, when the value is of the field's type.
 fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
     let mut out = Vec::new();
     let ints = [
@@ -508,6 +509,26 @@ fn dc_boundaries() -> Vec<(&'static str, String, bool, Option<String>)> {
     out.push((
         "tenants.benchmarks",
         names(MAX_TENANT_BENCHMARKS + 1),
+        false,
+        named,
+    ));
+    // A name is capped in bytes, not characters.
+    let name = |bytes: usize| {
+        format!(
+            "[\"gcc\",\"{}\"]",
+            "\u{e9}".repeat(bytes / 2) + &"x".repeat(bytes % 2)
+        )
+    };
+    let named = Some(MAX_BENCHMARK_NAME_BYTES.to_string());
+    out.push((
+        "tenants.benchmarks",
+        name(MAX_BENCHMARK_NAME_BYTES),
+        true,
+        None,
+    ));
+    out.push((
+        "tenants.benchmarks",
+        name(MAX_BENCHMARK_NAME_BYTES + 1),
         false,
         named,
     ));

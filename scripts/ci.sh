@@ -19,6 +19,11 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+echo "== allocation budget: a dc run in the release build perfbench measures =="
+# The debug run above checks the same budgets; the release build is the
+# one perfbench times, and inlining could change what it allocates.
+cargo test -q --release --offline -p sharing-dc --test alloc_budget
+
 echo "== examples (build all, smoke-run one per crate) =="
 cargo build --release --offline --examples
 # One representative example per crate layer, so examples can't silently
